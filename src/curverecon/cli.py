@@ -6,6 +6,7 @@ failure, 4 certified bound violated (a regression tripwire for CI).
 
 import argparse
 import json
+import math
 import sys
 
 from . import affine, euclidean, series
@@ -143,6 +144,8 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_classify(args) -> int:
     spec = parse_spec_cli(args.curvature)
+    if not (math.isfinite(args.period) and args.period > 0):
+        raise _UsageError(f"--period must be a positive finite number, got {args.period!r}")
     report = euclidean.classify_closure(spec, period=args.period)
     print(closure_report_json(report))
     return EXIT_OK

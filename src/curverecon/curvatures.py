@@ -13,7 +13,7 @@ rational parameter so closedness arithmetic stays exact.
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, isfinite, pi
 
 import numpy as np
 
@@ -313,16 +313,24 @@ def _parse_number(text: str, offset: int, rational_only: bool = False) -> Number
             raise SpecParseError("zero denominator", offset)
         if gcd(abs(p), q) != 1:
             raise SpecParseError(f"rational {text!r} is not reduced", offset)
-        return Fraction(p, q)
-    if _INT_RE.match(text):
-        return Fraction(int(text))
-    if _DECIMAL_RE.match(text):
+        value = Fraction(p, q)
+    elif _INT_RE.match(text):
+        value = Fraction(int(text))
+    elif _DECIMAL_RE.match(text):
         if rational_only:
             raise SpecParseError(
                 f"{text!r}: this kind requires an exact rational (<int> or <int>/<int>)", offset
             )
-        return float(text)
-    raise SpecParseError(f"cannot parse number {text!r}", offset)
+        value = float(text)
+    else:
+        raise SpecParseError(f"cannot parse number {text!r}", offset)
+    try:
+        finite = isfinite(float(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SpecParseError(f"number {text!r} does not fit a finite float", offset)
+    return value
 
 
 def _split_args(body: str, base_offset: int):

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from curverecon import affine
 from curverecon.curvatures import parse_spec
-from curverecon.geometry import EquiAffineMap, SampledCurve, hausdorff_distance
+from curverecon.geometry import EquiAffineMap, SampledCurve, grid_distance, hausdorff_distance
 
 PI = math.pi
 RNG = np.random.default_rng(11)
@@ -261,4 +261,33 @@ class TestBoundCheck:
         mu2 = lambda t: mu1(t) + 0.01 * bump(np.mod(np.asarray(t, dtype=float), 2.0))
         rep = affine.bound_check(mu1, mu2, 4.0)
         assert abs(rep.delta - 0.01) < 1e-6
+        assert rep.satisfied
+
+    def test_measured_equals_hausdorff_on_acceptance_pairs(self, monkeypatch):
+        # c07 pairs: the curves stay in phase, so the pointwise sup on the
+        # shared grid coincides with the polyline Hausdorff distance
+        from curverecon.curvatures import bump
+
+        rebuilt = []
+
+        def recording(c1, c2):
+            rebuilt.append((c1, c2))
+            return grid_distance(c1, c2)
+
+        monkeypatch.setattr(affine, "grid_distance", recording)
+        mu1 = parse_spec("mun:3/5")
+        mu2 = lambda t: mu1(t) + 0.01 * bump(np.mod(np.asarray(t, dtype=float), 2.0))
+        for pair, length in (((parse_spec("const:2"), parse_spec("const:2.05")), 2.0), ((mu1, mu2), 4.0)):
+            rep = affine.bound_check(*pair, length)
+            c1, c2 = rebuilt.pop()
+            assert abs(rep.measured - hausdorff_distance(c1, c2)) <= 1e-12
+
+    def test_measured_is_pointwise_conic_gap(self):
+        # the two ellipses drift out of phase: their Hausdorff distance is
+        # only ~0.18, while the gap at equal affine arc length grows to 0.567
+        # at alpha = L, a node of every grid on [0, L]
+        rep = affine.bound_check(parse_spec("const:1"), parse_spec("const:1.1"), 10.0)
+        gap = affine.conic(1.0, 10.0, 20001).points - affine.conic(1.1, 10.0, 20001).points
+        exact = float(np.hypot(gap[:, 0], gap[:, 1]).max())
+        assert abs(rep.measured - exact) <= 1e-8
         assert rep.satisfied

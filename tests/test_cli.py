@@ -82,6 +82,31 @@ class TestReconstruct:
                              "--curvature", "const:1", "--domain", "0:1", "--samples", "8")
         assert code == 2
 
+    def test_overflowing_curvature_exits_3(self, capsys):
+        # monomial:1,400 overflows to inf on [0, 10]: refused before any grid is built
+        with np.errstate(over="ignore"):
+            code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
+                                        "--curvature", "monomial:1,400", "--domain", "0:10")
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("solver error:") and "samples" in err
+
+    def test_sample_cap_exits_3(self, capsys, monkeypatch):
+        from curverecon import euclidean
+
+        monkeypatch.setattr(euclidean, "SAMPLE_CAP", 1025)
+        code, _, err = run_cli(capsys, "reconstruct", "euclid", "--curvature", "const:1",
+                               "--domain", "0:1", "--samples", "2049")
+        assert code == 3
+        assert "cap" in err
+
+    def test_non_finite_spec_number_exits_2(self, capsys):
+        code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
+                                    "--curvature", "const:1e400", "--domain", "0:1")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_series_needs_monomial(self, capsys):
         code, _, err = run_cli(capsys, "reconstruct", "series",
                                "--curvature", "const:1", "--domain", "0:1")
@@ -109,6 +134,13 @@ class TestClassify:
         assert code == 0
         data = json.loads(stdout)
         assert data["ratio"] == "0/1" and data["closed"] is False
+
+    @pytest.mark.parametrize("period", ["0", "-1", "nan", "inf"])
+    def test_bad_period_exits_2(self, capsys, period):
+        code, stdout, err = run_cli(capsys, "classify", "--curvature", "kn:10", f"--period={period}")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "--period" in err
 
 
 class TestCompare:
@@ -141,6 +173,14 @@ class TestCompare:
         data = json.loads(stdout)
         assert data["norm"] == "l1"
         assert data["bound"] == pytest.approx(data["delta"] * 6.283185307)
+
+    def test_overflowing_curvature_exits_3(self, capsys):
+        with np.errstate(over="ignore"):
+            code, stdout, err = run_cli(capsys, "compare", "euclid", "monomial:1,400", "sin",
+                                        "--domain", "0:10")
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("solver error:") and "samples" in err
 
     def test_violated_bound_maps_to_exit_4(self, capsys, monkeypatch):
         # the certified inequality holds mathematically, so a violation is

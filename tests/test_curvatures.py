@@ -98,6 +98,16 @@ class TestParsing:
             parse_spec("sinusoid:1,xx,3")
         assert exc.value.offset == len("sinusoid:1,")
 
+    def test_non_finite_numbers_rejected(self):
+        huge = "1" + "0" * 400
+        for text in ("const:1e400", "const:-1e400", f"const:{huge}", f"const:{huge}/3", f"monomial:{huge},1"):
+            with pytest.raises(SpecParseError, match="finite"):
+                parse_spec(text)
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec("sinusoid:1,1e309,0")
+        assert exc.value.offset == len("sinusoid:1,")
+        assert parse_spec("const:1e-400").value == 0.0
+
     def test_cli_alias(self):
         assert parse_spec_cli("sin") == SinusoidCurvature(Fraction(1), Fraction(0), Fraction(0))
 

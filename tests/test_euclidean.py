@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from curverecon import euclidean
 from curverecon.curvatures import TableCurvature, parse_spec
-from curverecon.geometry import RigidMotion, SampledCurve, hausdorff_distance
+from curverecon.geometry import RigidMotion, SampledCurve, grid_distance, hausdorff_distance
 
 PI = math.pi
 RNG = np.random.default_rng(3)
@@ -211,6 +211,40 @@ class TestBoundCheck:
         assert abs(rep.delta - 2 * PI / 40) < 1e-6
         assert abs(rep.bound - rep.delta * 2 * PI) < 1e-12
         assert rep.satisfied
+
+    @pytest.mark.parametrize("norm", ["linf", "l1"])
+    def test_measured_equals_hausdorff_on_acceptance_pairs(self, norm, monkeypatch):
+        # c03 / c04 pairs: the curves stay in phase, so the pointwise sup on
+        # the shared grid coincides with the polyline Hausdorff distance
+        rebuilt = []
+
+        def recording(c1, c2):
+            rebuilt.append((c1, c2))
+            return grid_distance(c1, c2)
+
+        monkeypatch.setattr(euclidean, "grid_distance", recording)
+        sin = parse_spec("sinusoid:1,0,0")
+        for n in (10, 20, 40):
+            rep = euclidean.bound_check(sin, parse_spec(f"kn:{n}"), 2 * PI, norm=norm)
+            c1, c2 = rebuilt.pop()
+            assert abs(rep.measured - hausdorff_distance(c1, c2)) <= 1e-12
+
+
+class TestSampleCap:
+    def test_cap_admits_a_million_samples(self):
+        assert euclidean.SAMPLE_CAP >= 1_000_001
+
+    @pytest.mark.parametrize("sup", [math.inf, math.nan, 1e300])
+    def test_default_count_refused(self, sup):
+        with pytest.raises(ValueError, match="samples"):
+            euclidean.default_sample_count(10.0, sup)
+
+    def test_explicit_count_refused(self, monkeypatch):
+        monkeypatch.setattr(euclidean, "SAMPLE_CAP", 1025)
+        one = parse_spec("const:1")
+        assert len(euclidean.reconstruct(one, 1.0, 1025)) == 1025
+        with pytest.raises(ValueError, match="cap"):
+            euclidean.reconstruct(one, 1.0, 1027)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from curverecon.geometry import (
@@ -13,6 +14,7 @@ from curverecon.geometry import (
     SampledCurve,
     apply_motion,
     compose,
+    grid_distance,
     hausdorff_distance,
     max_norm,
     normalize_to_standard_frame,
@@ -160,6 +162,35 @@ class TestHausdorff:
             q = p + RNG.uniform(-0.3, 0.3, p.shape)
             bound = math.sqrt(2.0) * np.abs(p - q).max()
             assert hausdorff_distance(p, q) <= bound + 1e-12
+
+
+class TestGridDistance:
+    def test_known_gap(self):
+        t = np.linspace(0, 1, 11)
+        c1 = SampledCurve(t, np.stack([t, t**2], axis=1))
+        shift = np.zeros_like(c1.points)
+        shift[7] = (3.0, 4.0)
+        assert grid_distance(c1, SampledCurve(t, c1.points + shift)) == 5.0
+        assert grid_distance(c1, c1) == 0.0
+
+    def test_mismatched_grids_rejected(self):
+        def line(t):
+            return SampledCurve(t, np.stack([t, t], axis=1))
+
+        base = line(np.linspace(0, 1, 11))
+        for other in (line(np.linspace(0, 1, 12)), line(np.linspace(0, 2, 11))):
+            with pytest.raises(ValueError, match="same parameter grid"):
+                grid_distance(base, other)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=30).flatmap(
+        lambda n: st.tuples(arrays(float, (n, 2), elements=finite_coords),
+                            arrays(float, (n, 2), elements=finite_coords))))
+    def test_never_below_hausdorff(self, pair):
+        p, q = pair
+        t = np.arange(p.shape[0], dtype=float)
+        c1, c2 = SampledCurve(t, p), SampledCurve(t, q)
+        assert grid_distance(c1, c2) >= hausdorff_distance(c1, c2) - 1e-12
 
 
 class TestNormalization:
