@@ -1,14 +1,13 @@
 """Planar curve reconstruction from prescribed Euclidean or equi-affine curvature."""
 
 from . import affine, curvatures, curveio, euclidean, geometry, series
-from .curvatures import bump, eval_spec, parse_spec, spec_to_string
+from .curvatures import bump, parse_spec
 from .geometry import (
     BoundReport,
     EquiAffineMap,
     RigidMotion,
     SampledCurve,
     hausdorff_distance,
-    max_norm,
     normalize_to_standard_frame,
     sup_norm,
 )
@@ -25,14 +24,11 @@ __all__ = [
     "curvatures",
     "curveio",
     "euclidean",
-    "eval_spec",
     "geometry",
     "hausdorff_distance",
-    "max_norm",
     "normalize_to_standard_frame",
     "parse_spec",
     "series",
-    "spec_to_string",
     "sup_norm",
     "__version__",
 ]

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .geometry import BoundReport, SampledCurve, grid_distance, max_norm, sup_norm
+from .geometry import BoundReport, SampledCurve, grid_distance, resample_by_rate, sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
 from .quadrature import cumulative_simpson, odd_sample_count
 
@@ -47,10 +47,11 @@ def arclength_reparametrize(curve: SampledCurve, min_det: float = 1e-9) -> Sampl
     """Resample a curve uniformly in equi-affine arc length.
 
     Requires det(g', g'') > 0 along the grid (convex, counterclockwise);
-    the new parameter accumulates det(g', g'')^(1/3).
+    the new parameter accumulates det(g', g'')^(1/3) of the interpolating
+    cubic spline, via :func:`~curverecon.geometry.resample_by_rate`.
     """
-    t, p = curve.params, curve.points
-    spline = CubicSpline(t, p, axis=0)
+    t = curve.params
+    spline = CubicSpline(t, curve.points, axis=0)
     d1 = spline.derivative()
     d2 = spline.derivative(2)
 
@@ -65,24 +66,14 @@ def arclength_reparametrize(curve: SampledCurve, min_det: float = 1e-9) -> Sampl
             f"det(tangent, second derivative) = {det_nodes.min():.3e} at parameter {bad!r}; "
             "curve must be convex and counterclockwise"
         )
-    alpha = np.concatenate([[0.0], np.cumsum(_gl_integrals(det_of, t))])
-    alpha_uniform = np.linspace(0.0, alpha[-1], t.size)
-    x = PchipInterpolator(alpha, p[:, 0])(alpha_uniform)
-    y = PchipInterpolator(alpha, p[:, 1])(alpha_uniform)
-    return SampledCurve(alpha_uniform, np.stack([x, y], axis=1))
 
+    def density(ts):
+        d = det_of(ts)
+        if d.min() <= 0.0:
+            raise ValueError("det(tangent, second derivative) must stay positive between samples")
+        return np.cbrt(d)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
-
-def _gl_integrals(det_of, t):
-    a, b = t[:-1], t[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    d = det_of(nodes.ravel()).reshape(nodes.shape)
-    if d.min() <= 0.0:
-        raise ValueError("det(tangent, second derivative) must stay positive between samples")
-    return half * (np.cbrt(d) @ _GL_WEIGHTS)
+    return resample_by_rate(curve, density)
 
 
 def curvature_from_euclidean(s, kappa):
@@ -223,7 +214,7 @@ def picard(
     A0 = np.eye(2) if A0 is None else np.asarray(A0, dtype=float).reshape(2, 2)
     if abs(A0[0, 0] * A0[1, 1] - A0[0, 1] * A0[1, 0] - 1.0) > 1e-9:
         raise ValueError("initial frame must be unimodular")
-    a0_norm = max_norm(A0)
+    a0_norm = sup_norm(A0)
 
     probe = np.linspace(0.0, length, 4097)
     c = max(1.0, sup_norm(mu(probe)))
@@ -300,15 +291,21 @@ def picard_bounds(c: float, alpha: float, n: int, a0_norm: float = 1.0) -> dict:
     }
 
 
-def frame_divergence_bound(mu1, mu2, length: float, a0_norm: float = 1.0, n_probe: int = 4097) -> float:
-    """Guaranteed max-entry gap between frames grown from two curvatures."""
-    probe = np.linspace(0.0, length, n_probe)
+def _probe_gap(mu1, mu2, length: float):
+    """(delta, c_hat) on a 4097-point probe: sup |mu1 - mu2| and max(1, sup |mu1|, sup |mu2|)."""
+    probe = np.linspace(0.0, length, 4097)
     v1 = np.asarray(mu1(probe), dtype=float)
     v2 = np.asarray(mu2(probe), dtype=float)
     delta = float(np.abs(v1 - v2).max())
+    c_hat = max(1.0, float(np.abs(v1).max()), float(np.abs(v2).max()))
+    return delta, c_hat
+
+
+def frame_divergence_bound(mu1, mu2, length: float, a0_norm: float = 1.0) -> float:
+    """Guaranteed max-entry gap between frames grown from two curvatures."""
+    delta, c_hat = _probe_gap(mu1, mu2, length)
     if delta == 0.0:
         return 0.0
-    c_hat = max(1.0, float(np.abs(v1).max()), float(np.abs(v2).max()))
     if c_hat * length > 700.0:
         return math.inf
     return a0_norm * delta * length * math.exp(c_hat * length)
@@ -322,11 +319,7 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
     max_alpha |c1(alpha) - c2(alpha)| on it is compared against
     sqrt(2) * (delta L / c_hat) * (e^(c_hat L) - 1).
     """
-    probe = np.linspace(0.0, length, 4097)
-    v1 = np.asarray(mu1(probe), dtype=float)
-    v2 = np.asarray(mu2(probe), dtype=float)
-    delta = float(np.abs(v1 - v2).max())
-    c_hat = max(1.0, float(np.abs(v1).max()), float(np.abs(v2).max()))
+    delta, c_hat = _probe_gap(mu1, mu2, length)
     if delta == 0.0:
         bound = 0.0
     else:

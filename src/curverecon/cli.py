@@ -71,6 +71,8 @@ def _parse_domain(text: str):
         a, b = float(parts[0]), float(parts[1])
     except ValueError:
         raise _UsageError(f"domain bounds must be numbers, got {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _UsageError(f"domain bounds must be finite, got {text!r}")
     if not b > a:
         raise _UsageError(f"domain needs b > a, got {text!r}")
     return a, b
@@ -95,6 +97,10 @@ def _cmd_reconstruct(args) -> int:
     length = b - a
     if args.samples is not None and args.samples < 16:
         raise _UsageError("--samples must be at least 16")
+    if args.mode == "affine" and args.iterations is not None and args.iterations < 0:
+        raise _UsageError(f"--iterations must be at least 0, got {args.iterations}")
+    if args.mode != "euclid" and args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise _UsageError(f"--tol must be a positive finite number, got {args.tol!r}")
 
     if args.mode == "euclid":
         curve = euclidean.reconstruct(spec, length, n=args.samples, start=a)

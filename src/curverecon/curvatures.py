@@ -29,8 +29,6 @@ __all__ = [
     "TableCurvature",
     "bump",
     "parse_spec",
-    "eval_spec",
-    "spec_to_string",
 ]
 
 TWO_PI = 2.0 * pi
@@ -98,10 +96,6 @@ class CurvatureSpec:
         return f"{type(self).__name__}({self.to_string()!r})"
 
 
-def _num_to_float(x: Number) -> float:
-    return float(x)
-
-
 def _fmt_number(x: Number) -> str:
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -120,14 +114,14 @@ class ConstantCurvature(CurvatureSpec):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        v = np.full_like(t, _num_to_float(self.value))
+        v = np.full_like(t, float(self.value))
         return v if v.ndim else float(v)
 
     def to_string(self):
         return f"const:{_fmt_number(self.value)}"
 
     def mean_analytic(self, period):
-        return _num_to_float(self.value)
+        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ class SinusoidCurvature(CurvatureSpec):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        v = _num_to_float(self.a) * np.sin(t) + _num_to_float(self.b) * np.cos(t) + _num_to_float(self.c)
+        v = float(self.a) * np.sin(t) + float(self.b) * np.cos(t) + float(self.c)
         return v if v.ndim else float(v)
 
     def to_string(self):
@@ -155,7 +149,7 @@ class SinusoidCurvature(CurvatureSpec):
 
     def mean_analytic(self, period):
         if _is_natural_period(period, TWO_PI):
-            return _num_to_float(self.c)
+            return float(self.c)
         return None
 
 
@@ -226,7 +220,7 @@ class MonomialCurvature(CurvatureSpec):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        v = _num_to_float(self.c) * t**self.k
+        v = float(self.c) * t**self.k
         return v if v.ndim else float(v)
 
     def to_string(self):
@@ -305,17 +299,24 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
+def _parse_int(text: str, offset: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python's int-from-string limit
+        raise SpecParseError(f"integer of {len(text)} characters is too long", offset) from None
+
+
 def _parse_number(text: str, offset: int, rational_only: bool = False) -> Number:
     m = _RATIONAL_RE.match(text)
     if m:
-        p, q = int(m.group(1)), int(m.group(2))
+        p, q = _parse_int(m.group(1), offset), _parse_int(m.group(2), offset)
         if q == 0:
             raise SpecParseError("zero denominator", offset)
         if gcd(abs(p), q) != 1:
             raise SpecParseError(f"rational {text!r} is not reduced", offset)
         value = Fraction(p, q)
     elif _INT_RE.match(text):
-        value = Fraction(int(text))
+        value = Fraction(_parse_int(text, offset))
     elif _DECIMAL_RE.match(text):
         if rational_only:
             raise SpecParseError(
@@ -371,7 +372,7 @@ def parse_spec(text: str) -> CurvatureSpec:
         k_text, k_off = args[1]
         if not re.match(r"^\d+$", k_text):
             raise SpecParseError(f"monomial exponent must be a non-negative integer, got {k_text!r}", k_off)
-        return MonomialCurvature(c, int(k_text))
+        return MonomialCurvature(c, _parse_int(k_text, k_off))
     if kind == "table":
         periodic = False
         path = body
@@ -392,11 +393,3 @@ def parse_spec_cli(text: str) -> CurvatureSpec:
     if text == "sin":
         return SinusoidCurvature(Fraction(1), Fraction(0), Fraction(0))
     return parse_spec(text)
-
-
-def eval_spec(spec: CurvatureSpec, t):
-    return spec(t)
-
-
-def spec_to_string(spec: CurvatureSpec) -> str:
-    return spec.to_string()

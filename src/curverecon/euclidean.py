@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
-from .geometry import BoundReport, SampledCurve, grid_distance, sup_norm
+from .geometry import BoundReport, SampledCurve, grid_distance, resample_by_rate, sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
 from .quadrature import cumulative_simpson, odd_sample_count
 
@@ -119,35 +119,16 @@ def curvature(curve: SampledCurve, min_speed: float = 1e-9):
 def arclength_reparametrize(curve: SampledCurve, min_speed: float = 1e-9) -> SampledCurve:
     """Resample a curve uniformly in Euclidean arc length (same sample count).
 
-    Arc length is accumulated by per-interval Gauss-Legendre quadrature of
-    the spline speed; the points are then re-read at uniform arc length by
-    monotone cubic interpolation.
+    The density integrated by :func:`~curverecon.geometry.resample_by_rate`
+    is the speed of the interpolating cubic spline.
     """
-    t, p = curve.params, curve.points
-    spline = CubicSpline(t, p, axis=0)
-    dspline = spline.derivative()
+    t = curve.params
+    dspline = CubicSpline(t, curve.points, axis=0).derivative()
     speed_nodes = np.hypot(*dspline(t).T)
     if speed_nodes.min() < min_speed:
         bad = t[int(np.argmin(speed_nodes))]
         raise ValueError(f"zero-speed segment near parameter {bad!r}")
-    s = np.concatenate([[0.0], np.cumsum(_speed_integrals(dspline, t))])
-    s_uniform = np.linspace(0.0, s[-1], t.size)
-    x = PchipInterpolator(s, p[:, 0])(s_uniform)
-    y = PchipInterpolator(s, p[:, 1])(s_uniform)
-    return SampledCurve(s_uniform, np.stack([x, y], axis=1))
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
-
-def _speed_integrals(dspline, t):
-    """Gauss-Legendre (5-point) integrals of the spline speed per interval."""
-    a, b = t[:-1], t[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = dspline(nodes.ravel())
-    f = np.hypot(vals[..., 0], vals[..., 1]).reshape(nodes.shape)
-    return half * (f @ _GL_WEIGHTS)
+    return resample_by_rate(curve, lambda ts: np.hypot(*dspline(ts).T))
 
 
 def rationalize(x: float, max_denominator: int = 10**6, tol: float = 1e-8) -> Fraction | None:

@@ -1,7 +1,10 @@
-"""Planar group elements, norms, curve distances, and frame registration.
+"""Planar group elements, arc-length resampling, norms, curve distances, registration.
 
-Points and vectors are rows.  Group elements store their matrix part ``M``
-and act by ``p -> p @ inv(M) + v``; composition is
+The group elements are equi-affine maps: a unimodular linear part ``M`` plus a
+translation ``v``.  A rigid motion is an equi-affine map whose linear part is
+orthogonal, so :class:`RigidMotion` subclasses :class:`EquiAffineMap` and
+inherits its action, inverse and composition.  Points and vectors are rows;
+a map acts by ``p -> p @ inv(M) + v`` and composition is
 ``(M1, v1) * (M2, v2) = (M1 @ M2, v2 @ inv(M1) + v1)``.  Keeping the inverse
 in the action makes composition associative for non-commuting matrix parts.
 """
@@ -9,6 +12,7 @@ in the action makes composition associative for non-commuting matrix parts.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -17,12 +21,10 @@ __all__ = [
     "RigidMotion",
     "SampledCurve",
     "BoundReport",
-    "apply_motion",
-    "compose",
     "grid_distance",
     "hausdorff_distance",
-    "max_norm",
     "normalize_to_standard_frame",
+    "resample_by_rate",
     "rotation_matrix",
     "sup_norm",
 ]
@@ -40,60 +42,6 @@ def rotation_matrix(theta: float) -> np.ndarray:
 def _inv2(m: np.ndarray) -> np.ndarray:
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
-
-@dataclass(frozen=True)
-class RigidMotion:
-    """Orientation-preserving rigid motion: rotation part plus translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    tol: float = field(default=1e-9, compare=False)
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float).reshape(2, 2)
-        v = np.asarray(self.translation, dtype=float).reshape(2)
-        if not (np.isfinite(r).all() and np.isfinite(v).all()):
-            raise ValueError("rigid motion entries must be finite")
-        if np.abs(r @ r.T - np.eye(2)).max() > self.tol:
-            raise ValueError("rotation part is not orthogonal")
-        if abs(np.linalg.det(r) - 1.0) > self.tol:
-            raise ValueError("rotation part must have determinant +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", v)
-
-    @classmethod
-    def identity(cls) -> "RigidMotion":
-        return cls(np.eye(2), np.zeros(2))
-
-    @classmethod
-    def from_angle(cls, theta: float, translation=(0.0, 0.0)) -> "RigidMotion":
-        return cls(rotation_matrix(theta), np.asarray(translation, dtype=float))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.rotation
-
-    @property
-    def angle(self) -> float:
-        return float(np.arctan2(self.rotation[1, 0], self.rotation[0, 0]))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        return p @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidMotion":
-        return RigidMotion(self.rotation.T, -self.translation @ self.rotation, tol=self.tol)
-
-    def compose(self, other: "RigidMotion") -> "RigidMotion":
-        return RigidMotion(
-            self.rotation @ other.rotation,
-            other.translation @ self.rotation.T + self.translation,
-            tol=max(self.tol, other.tol),
-        )
-
-    def as_equi_affine(self) -> "EquiAffineMap":
-        return EquiAffineMap(self.rotation, self.translation, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -118,40 +66,42 @@ class EquiAffineMap:
     def identity(cls) -> "EquiAffineMap":
         return cls(np.eye(2), np.zeros(2))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.linear
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         return p @ _inv2(self.linear) + self.translation
 
     def inverse(self) -> "EquiAffineMap":
-        return EquiAffineMap(_inv2(self.linear), -self.translation @ self.linear, tol=self.tol)
+        return type(self)(_inv2(self.linear), -self.translation @ self.linear, tol=self.tol)
 
-    def compose(self, other) -> "EquiAffineMap":
-        return EquiAffineMap(
-            self.linear @ other.matrix,
+    def compose(self, other: "EquiAffineMap") -> "EquiAffineMap":
+        """Applying the result equals applying ``other`` then ``self``; rigid iff both are."""
+        rigid = isinstance(self, RigidMotion) and isinstance(other, RigidMotion)
+        return (RigidMotion if rigid else EquiAffineMap)(
+            self.linear @ other.linear,
             other.translation @ _inv2(self.linear) + self.translation,
             tol=max(self.tol, other.tol),
         )
 
 
-def compose(g1, g2):
-    """Group composition; applying the result equals applying g2 then g1."""
-    if isinstance(g1, RigidMotion) and isinstance(g2, RigidMotion):
-        return g1.compose(g2)
-    a = g1.as_equi_affine() if isinstance(g1, RigidMotion) else g1
-    b = g2.as_equi_affine() if isinstance(g2, RigidMotion) else g2
-    return a.compose(b)
+class RigidMotion(EquiAffineMap):
+    """Orientation-preserving rigid motion: an equi-affine map with orthogonal linear part."""
 
+    def __post_init__(self):
+        super().__post_init__()
+        if np.abs(self.linear @ self.linear.T - np.eye(2)).max() > self.tol:
+            raise ValueError("rotation part is not orthogonal")
 
-def se2_compose(g1: RigidMotion, g2: RigidMotion) -> RigidMotion:
-    return g1.compose(g2)
+    @classmethod
+    def from_angle(cls, theta: float, translation=(0.0, 0.0)) -> "RigidMotion":
+        return cls(rotation_matrix(theta), np.asarray(translation, dtype=float))
 
+    @property
+    def rotation(self) -> np.ndarray:
+        return self.linear
 
-def apply_motion(g, points):
-    return g.apply(points)
+    @property
+    def angle(self) -> float:
+        return float(np.arctan2(self.linear[1, 0], self.linear[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -193,12 +143,28 @@ class SampledCurve:
         return SampledCurve(self.params, g.apply(self.points))
 
 
-def max_norm(a) -> float:
-    """Largest absolute entry of a matrix or vector."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        raise ValueError("max_norm of an empty array")
-    return float(np.abs(a).max())
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def resample_by_rate(curve: SampledCurve, rate) -> SampledCurve:
+    """Resample a curve uniformly in the running integral of a density (same sample count).
+
+    ``rate(t)`` maps a flat array of parameter values to the density there
+    (the speed for Euclidean arc length, det(g', g'')^(1/3) for equi-affine
+    arc length).  The new parameter starts at 0 and accumulates the 5-point
+    Gauss-Legendre integral of ``rate`` over each grid interval; the points
+    are then re-read at uniform steps of it by monotone cubic interpolation.
+    """
+    t, p = curve.params, curve.points
+    a, b = t[:-1], t[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    f = np.asarray(rate(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    s = np.concatenate([[0.0], np.cumsum(half * (f @ _GL_WEIGHTS))])
+    s_uniform = np.linspace(0.0, s[-1], t.size)
+    x = PchipInterpolator(s, p[:, 0])(s_uniform)
+    y = PchipInterpolator(s, p[:, 1])(s_uniform)
+    return SampledCurve(s_uniform, np.stack([x, y], axis=1))
 
 
 def sup_norm(values) -> float:

@@ -125,8 +125,9 @@ def curve(ms: MonomialSeries, length: float, n: int) -> SampledCurve:
     a = np.linspace(0.0, length, n)
     u, v = tangent_coefficients(ms, length)
     K = ms.K
-    iu = u / (K * np.arange(u.size) + 1.0)
-    iv = v / (K * np.arange(v.size) + 2.0)
+    # float aranges: an exponent K beyond int64 would overflow an integer product
+    iu = u / (K * np.arange(u.size, dtype=float) + 1.0)
+    iv = v / (K * np.arange(v.size, dtype=float) + 2.0)
     gx = _eval_lines(a, K, iu, 1)
     gy = _eval_lines(a, K, iv, 2)
     t0, n0 = np.asarray(ms.T0), np.asarray(ms.N0)

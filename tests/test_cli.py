@@ -65,6 +65,13 @@ class TestReconstruct:
                                "--curvature", "nope:1", "--domain", "0:1")
         assert code == 2
         assert "unknown kind" in err
+        # integers past Python's int-from-string digit limit are parse errors too
+        long_int = "1" * 5000
+        for spec in (f"const:{long_int}", f"const:{long_int}/3", f"monomial:1,{long_int}"):
+            code, stdout, err = run_cli(capsys, "reconstruct", "euclid", "--curvature", spec, "--domain", "0:1")
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith("error:") and "too long" in err
 
     def test_solver_failure_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "reconstruct", "affine",
@@ -73,9 +80,39 @@ class TestReconstruct:
         assert "solver error" in err
 
     def test_bad_domain_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "reconstruct", "euclid",
-                             "--curvature", "const:1", "--domain", "5:1")
+        for domain in ("5:1", "0:inf", "-inf:0", "0:nan"):
+            code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
+                                        "--curvature", "const:1", f"--domain={domain}")
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flags", [
+        ("affine", "--iterations", "-1"),
+        ("affine", "--tol", "0"),
+        ("affine", "--tol=-1e-10"),
+        ("affine", "--tol", "inf"),
+        ("affine", "--tol", "nan"),
+        ("series", "--tol", "0"),
+        ("series", "--tol", "nan"),
+    ])
+    def test_bad_solver_flag_exits_2(self, capsys, flags):
+        mode, *rest = flags
+        code, stdout, err = run_cli(capsys, "reconstruct", mode, "--curvature", "monomial:1,1",
+                                    "--domain", "0:1", *rest)
         assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and rest[0].split("=")[0] in err
+
+    def test_series_exponent_beyond_int64_has_no_traceback(self, capsys):
+        big_k = "monomial:1,99999999999999999999999"
+        code, stdout, _ = run_cli(capsys, "reconstruct", "series", "--curvature", big_k, "--domain", "0:1")
+        assert code == 0
+        assert json.loads(stdout)["terms"] == 1
+        code, stdout, err = run_cli(capsys, "reconstruct", "series", "--curvature", big_k, "--domain", "0:2")
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("solver error:")
 
     def test_small_sample_count_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "reconstruct", "euclid",

@@ -17,7 +17,6 @@ from curverecon.curvatures import (
     bump,
     parse_spec,
     parse_spec_cli,
-    spec_to_string,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -107,6 +106,10 @@ class TestParsing:
             parse_spec("sinusoid:1,1e309,0")
         assert exc.value.offset == len("sinusoid:1,")
         assert parse_spec("const:1e-400").value == 0.0
+        long_int = "1" * 5000  # past Python's int-from-string digit limit
+        for text in (f"const:{long_int}", f"const:{long_int}/3", f"monomial:1,{long_int}"):
+            with pytest.raises(SpecParseError, match="too long"):
+                parse_spec(text)
 
     def test_cli_alias(self):
         assert parse_spec_cli("sin") == SinusoidCurvature(Fraction(1), Fraction(0), Fraction(0))
@@ -117,7 +120,7 @@ class TestParsing:
     )
     def test_parse_print_round_trip(self, text):
         spec = parse_spec(text)
-        assert parse_spec(spec_to_string(spec)) == spec
+        assert parse_spec(spec.to_string()) == spec
 
 
 class TestEvaluation:

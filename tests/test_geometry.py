@@ -12,12 +12,10 @@ from curverecon.geometry import (
     EquiAffineMap,
     RigidMotion,
     SampledCurve,
-    apply_motion,
-    compose,
     grid_distance,
     hausdorff_distance,
-    max_norm,
     normalize_to_standard_frame,
+    resample_by_rate,
     rotation_matrix,
     sup_norm,
 )
@@ -41,42 +39,60 @@ def random_equi_affine(rng):
 class TestGroupLaws:
     def test_quarter_turns_compose_to_half_turn(self):
         g = RigidMotion.from_angle(np.pi / 2)
-        gg = compose(g, g)
+        gg = g.compose(g)
         assert_allclose(gg.rotation, rotation_matrix(np.pi), atol=1e-15)
         assert_allclose(gg.translation, 0.0, atol=1e-15)
 
     def test_translations_add(self):
         g1 = RigidMotion(np.eye(2), (1.0, 2.0))
         g2 = RigidMotion(np.eye(2), (3.0, 4.0))
-        assert_allclose(compose(g1, g2).translation, [4.0, 6.0])
+        assert_allclose(g1.compose(g2).translation, [4.0, 6.0])
 
     def test_inverse_composes_to_identity(self):
         pts = RNG.uniform(-5, 5, (10, 2))
         for _ in range(20):
             g = random_rigid(RNG)
-            assert_allclose(compose(g, g.inverse()).apply(pts), pts, atol=1e-12)
+            assert_allclose(g.compose(g.inverse()).apply(pts), pts, atol=1e-12)
             h = random_equi_affine(RNG)
-            assert_allclose(compose(h, h.inverse()).apply(pts), pts, atol=1e-12)
+            assert_allclose(h.compose(h.inverse()).apply(pts), pts, atol=1e-12)
 
     def test_associativity_on_points(self):
         pts = RNG.uniform(-5, 5, (10, 2))
         for _ in range(10):
             g1, g2, g3 = (random_equi_affine(RNG) for _ in range(3))
-            left = compose(compose(g1, g2), g3).apply(pts)
-            right = compose(g1, compose(g2, g3)).apply(pts)
+            left = g1.compose(g2).compose(g3).apply(pts)
+            right = g1.compose(g2.compose(g3)).apply(pts)
             assert np.abs(left - right).max() < 1e-12
 
     def test_composition_matches_sequential_application(self):
         pts = RNG.uniform(-5, 5, (10, 2))
         for _ in range(10):
             g1, g2 = random_rigid(RNG), random_rigid(RNG)
-            assert_allclose(compose(g1, g2).apply(pts), g1.apply(g2.apply(pts)), atol=1e-12)
+            assert_allclose(g1.compose(g2).apply(pts), g1.apply(g2.apply(pts)), atol=1e-12)
+
+    def test_rigid_motion_is_an_equi_affine_map(self):
+        g = random_rigid(np.random.default_rng(1))
+        assert isinstance(g, EquiAffineMap)
+        assert g.rotation is g.linear
+
+    def test_only_rigid_products_stay_rigid(self):
+        rng = np.random.default_rng(2)  # own stream: the module RNG feeds later tests
+        pts = rng.uniform(-5, 5, (10, 2))
+        for _ in range(10):
+            g1, g2, h = random_rigid(rng), random_rigid(rng), random_equi_affine(rng)
+            assert type(g1.compose(g2)) is RigidMotion
+            assert type(g1.inverse()) is RigidMotion
+            assert type(h.inverse()) is EquiAffineMap
+            for a, b in ((g1, h), (h, g1)):
+                ab = a.compose(b)
+                assert type(ab) is EquiAffineMap
+                assert_allclose(ab.apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
 
 class TestActions:
     def test_quarter_turn_moves_e1_to_e2(self):
         g = RigidMotion.from_angle(np.pi / 2)
-        assert_allclose(apply_motion(g, np.array([1.0, 0.0])), [0.0, 1.0], atol=1e-15)
+        assert_allclose(g.apply(np.array([1.0, 0.0])), [0.0, 1.0], atol=1e-15)
 
     def test_identity_fixes_points(self):
         p = np.array([2.5, -1.25])
@@ -97,8 +113,8 @@ class TestActions:
 
 class TestNorms:
     def test_max_norm_examples(self):
-        assert max_norm(np.array([[1.0, -2.0], [0.5, 0.0]])) == 2.0
-        assert max_norm(np.zeros((2, 2))) == 0.0
+        assert sup_norm(np.array([[1.0, -2.0], [0.5, 0.0]])) == 2.0
+        assert sup_norm(np.zeros((2, 2))) == 0.0
 
     def test_sup_norm_of_sine_grid(self):
         t = np.linspace(0.0, 2.0 * np.pi, 4097)
@@ -113,6 +129,15 @@ class TestNorms:
     def test_euclidean_norm_vs_max_component(self, x, y):
         v = np.array([x, y])
         assert np.hypot(x, y) <= math.sqrt(2.0) * max(abs(x), abs(y)) + 1e-12
+
+
+class TestResampleByRate:
+    def test_unit_rate_keeps_uniform_points(self):
+        t = np.linspace(2.0, 5.0, 301)
+        curve = SampledCurve(t, np.stack([np.cos(t), t**2], axis=1))
+        out = resample_by_rate(curve, np.ones_like)
+        assert_allclose(out.params, t - t[0], rtol=0.0, atol=1e-12)
+        assert_allclose(out.points, curve.points, rtol=0.0, atol=1e-12)
 
 
 class TestHausdorff:
@@ -217,7 +242,7 @@ class TestNormalization:
         for _ in range(5):
             g = random_rigid(RNG)
             _, h = normalize_to_standard_frame(base.transformed(g), "euclidean")
-            comp = compose(h, g)
+            comp = h.compose(g)
             assert np.abs(comp.rotation - np.eye(2)).max() < 1e-6
             assert np.abs(comp.translation).max() < 1e-6
 
@@ -227,7 +252,7 @@ class TestNormalization:
         for _ in range(5):
             g = random_equi_affine(RNG)
             _, h = normalize_to_standard_frame(parab.transformed(g), "affine")
-            comp = compose(h, g)
+            comp = h.compose(g)
             assert np.abs(comp.linear - np.eye(2)).max() < 1e-5
             assert np.abs(comp.translation).max() < 1e-5
 
