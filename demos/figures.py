@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from curverecon import affine, euclidean, parse_spec, series
-from curverecon.curveio import PlotSpec, emit_svg
+from curverecon.curveio import emit_svg
 
 PI = math.pi
 
@@ -24,7 +24,7 @@ def closed_sine_family(outdir: Path):
     for n in (10, 20, 40):
         short.append((euclidean.reconstruct(parse_spec(f"kn:{n}"), 2 * PI, 4097), f"kn:{n}"))
     short.append((euclidean.reconstruct(sin_spec, 2 * PI, 4097), "sin"))
-    emit_svg(PlotSpec(curves=tuple(short)), outdir / "bump_family_one_period.svg")
+    emit_svg(short, outdir / "bump_family_one_period.svg")
 
     loops = []
     for n in (10, 20, 40):
@@ -32,7 +32,7 @@ def closed_sine_family(outdir: Path):
             (euclidean.reconstruct(parse_spec(f"kn:{n}"), n * 2 * PI, 1024 * n + 1), f"kn:{n}")
         )
     loops.append((euclidean.reconstruct(sin_spec, 12 * PI, 12289), "sin"))
-    emit_svg(PlotSpec(curves=tuple(loops)), outdir / "bump_family_closed.svg")
+    emit_svg(loops, outdir / "bump_family_closed.svg")
 
 
 def threefold_loop(outdir: Path):
@@ -40,11 +40,11 @@ def threefold_loop(outdir: Path):
     k1 = parse_spec("sinusoid:1,1,1/3")
     k2 = parse_spec("sinusoid:1,1,1")
     emit_svg(
-        PlotSpec(curves=((euclidean.reconstruct(k1, 6 * PI, 12289), "sin+cos+1/3"),)),
+        ((euclidean.reconstruct(k1, 6 * PI, 12289), "sin+cos+1/3"),),
         outdir / "threefold_closed.svg",
     )
     emit_svg(
-        PlotSpec(curves=((euclidean.reconstruct(k2, 6 * PI, 12289), "sin+cos+1"),)),
+        ((euclidean.reconstruct(k2, 6 * PI, 12289), "sin+cos+1"),),
         outdir / "threefold_open.svg",
     )
 
@@ -56,14 +56,14 @@ def conics(outdir: Path):
         (affine.conic(2.0, 2 * PI / math.sqrt(2.0), 1025), "mu=2 (ellipse)"),
         (affine.conic(-3.0, 2.0, 1025), "mu=-3 (hyperbola)"),
     )
-    emit_svg(PlotSpec(curves=curves), outdir / "constant_affine_curvature.svg")
+    emit_svg(curves, outdir / "constant_affine_curvature.svg")
 
 
 def picard_loop(outdir: Path):
     """Long fixed-iteration run of the oscillating affine curvature family."""
     mu = parse_spec("mun:2/5")
     curve, _ = affine.picard(mu, 22.0, iterations=200)
-    emit_svg(PlotSpec(curves=((curve, "mun:2/5"),)), outdir / "picard_loop.svg")
+    emit_svg(((curve, "mun:2/5"),), outdir / "picard_loop.svg")
 
 
 def monomial_series(outdir: Path):
@@ -71,7 +71,7 @@ def monomial_series(outdir: Path):
     for k in (1, 2):
         curve = series.curve(series.MonomialSeries(1.0, k), 3.0, 4097)
         emit_svg(
-            PlotSpec(curves=((curve, f"mu = alpha^{k}"),)),
+            ((curve, f"mu = alpha^{k}"),),
             outdir / f"monomial_series_k{k}.svg",
         )
 

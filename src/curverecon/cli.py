@@ -13,7 +13,6 @@ from . import affine, euclidean, series
 from .curvatures import EvaluationDomainError, SpecParseError, parse_spec_cli
 from .curveio import (
     CsvFormatError,
-    PlotSpec,
     bound_report_json,
     closure_report_json,
     emit_svg,
@@ -88,7 +87,7 @@ def _emit_curve(curve, args, label: str):
     if args.out:
         write_curve_csv(curve, args.out)
     if args.svg:
-        emit_svg(PlotSpec(curves=((curve, label),)), args.svg)
+        emit_svg(((curve, label),), args.svg)
 
 
 def _cmd_reconstruct(args) -> int:

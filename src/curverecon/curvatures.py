@@ -11,7 +11,7 @@ rational parameter so closedness arithmetic stays exact.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, pi
 
@@ -229,14 +229,12 @@ class MonomialCurvature(CurvatureSpec):
 
 @dataclass(frozen=True, eq=False)
 class TableCurvature(CurvatureSpec):
-    """Tabulated curvature with linear (default) or cubic interpolation."""
+    """Tabulated curvature, linearly interpolated between the grid nodes."""
 
     grid: np.ndarray
     values: np.ndarray
     periodic: bool = False
-    interpolation: str = "linear"
     source_path: str | None = None
-    _spline: object = field(default=None, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float).reshape(-1)
@@ -245,14 +243,8 @@ class TableCurvature(CurvatureSpec):
             raise ValueError("table needs matching grid/value columns with >= 2 rows")
         if np.any(np.diff(g) <= 0):
             raise ValueError("table grid must be strictly increasing")
-        if self.interpolation not in ("linear", "cubic"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-        if self.interpolation == "cubic":
-            from scipy.interpolate import CubicSpline
-
-            object.__setattr__(self, "_spline", CubicSpline(g, v))
 
     @property
     def period(self):  # type: ignore[override]
@@ -264,12 +256,11 @@ class TableCurvature(CurvatureSpec):
             and np.array_equal(self.grid, other.grid)
             and np.array_equal(self.values, other.values)
             and self.periodic == other.periodic
-            and self.interpolation == other.interpolation
         )
 
     def mean_analytic(self, period):
         span = float(self.grid[-1] - self.grid[0])
-        if self.interpolation == "linear" and abs(period - span) <= 1e-9 * span:
+        if abs(period - span) <= 1e-9 * span:
             # trapezoid is exact for a linearly interpolated table
             return float(np.trapezoid(self.values, self.grid)) / span
         return None
@@ -285,8 +276,7 @@ class TableCurvature(CurvatureSpec):
                     f"value outside table range [{lo}, {hi}] and table is not periodic"
                 )
             u = np.clip(t, lo, hi)
-        v = np.interp(u, self.grid, self.values) if self._spline is None else self._spline(u)
-        v = np.asarray(v, dtype=float)
+        v = np.asarray(np.interp(u, self.grid, self.values), dtype=float)
         return v if v.ndim else float(v)
 
     def to_string(self):

@@ -7,8 +7,8 @@ repeated runs are byte-identical.
 """
 
 import csv
+import html
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .geometry import BoundReport, SampledCurve
 
 __all__ = [
     "CsvFormatError",
-    "PlotSpec",
     "bound_report_json",
     "closure_report_json",
     "emit_svg",
@@ -98,26 +97,15 @@ def read_table_csv(path):
     return data[:, 0], data[:, 1]
 
 
-def write_table_csv(grid, values, path, header=("t", "value")) -> None:
+def write_table_csv(grid, values, path) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(f"{header[0]},{header[1]}\n")
+        fh.write("t,value\n")
         for t, v in zip(grid, values):
             fh.write(f"{_fmt(t)},{_fmt(v)}\n")
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b"]
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """Curves to draw with equal-aspect scaling (geometry is never sheared)."""
-
-    curves: tuple
-    width: int = 640
-    height: int = 480
-    margin: int = 40
-    stroke_width: float = 1.5
-    legend: bool = field(default=True)
+_WIDTH, _HEIGHT, _MARGIN, _STROKE_WIDTH = 640, 480, 40, 1.5
 
 
 def _svg_coords(points, scale, x0, y0, xmin, ymax):
@@ -126,11 +114,15 @@ def _svg_coords(points, scale, x0, y0, xmin, ymax):
     return " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys))
 
 
-def emit_svg(spec: PlotSpec, path) -> None:
-    """Write an SVG 1.1 plot; identical input produces identical bytes."""
-    if not spec.curves:
+def emit_svg(curves, path) -> None:
+    """Write a 640x480 SVG 1.1 plot; identical input produces identical bytes.
+
+    ``curves`` holds curves or ``(curve, label)`` pairs, drawn with equal-aspect
+    scaling (geometry is never sheared); a legend lists the labels, escaped.
+    """
+    if not curves:
         raise ValueError("nothing to plot")
-    curves = [(c, "") if isinstance(c, SampledCurve) else (c[0], c[1]) for c in spec.curves]
+    curves = [(c, "") if isinstance(c, SampledCurve) else (c[0], c[1]) for c in curves]
     pts = np.concatenate([c.points for c, _ in curves])
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
@@ -146,36 +138,36 @@ def emit_svg(spec: PlotSpec, path) -> None:
         dy = 0.1 * dx
     xmax, ymax = xmin + dx, ymin + dy
 
-    avail_w = spec.width - 2 * spec.margin
-    avail_h = spec.height - 2 * spec.margin
+    avail_w = _WIDTH - 2 * _MARGIN
+    avail_h = _HEIGHT - 2 * _MARGIN
     scale = min(avail_w / dx, avail_h / dy)
-    x0 = spec.margin + (avail_w - dx * scale) / 2.0
-    y0 = spec.margin + (avail_h - dy * scale) / 2.0
+    x0 = _MARGIN + (avail_w - dx * scale) / 2.0
+    y0 = _MARGIN + (avail_h - dy * scale) / 2.0
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     for i, (curve, _) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         coords = _svg_coords(curve.points, scale, x0, y0, xmin, ymax)
         lines.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="{spec.stroke_width}" points="{coords}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="{_STROKE_WIDTH}" points="{coords}"/>'
         )
-    labels = [label for _, label in curves if label]
-    if labels and spec.legend:
+    if any(label for _, label in curves):
         lines.append('<g id="legend" font-family="monospace" font-size="12">')
         row = 0
         for i, (_, label) in enumerate(curves):
             if not label:
                 continue
             color = _PALETTE[i % len(_PALETTE)]
-            y = spec.margin + 14 * row
-            lines.append(f'<line x1="{spec.margin}" y1="{y}" x2="{spec.margin + 18}" y2="{y}" '
+            y = _MARGIN + 14 * row
+            lines.append(f'<line x1="{_MARGIN}" y1="{y}" x2="{_MARGIN + 18}" y2="{y}" '
                          f'stroke="{color}" stroke-width="2"/>')
-            lines.append(f'<text x="{spec.margin + 24}" y="{y + 4}" fill="#333333">{label}</text>')
+            text = html.escape(label, quote=False)
+            lines.append(f'<text x="{_MARGIN + 24}" y="{y + 4}" fill="#333333">{text}</text>')
             row += 1
         lines.append("</g>")
     lines.append("</svg>")

@@ -28,7 +28,6 @@ __all__ = [
     "default_sample_count",
     "rationalize",
     "reconstruct",
-    "tangential_angle",
     "turning_number",
 ]
 
@@ -40,31 +39,19 @@ class NotClosedError(ValueError):
     """An operation that needs a closed curve got an open one."""
 
 
-def default_sample_count(length: float, kappa_sup: float, floor: int = 1024) -> int:
-    """Grid size that keeps the tangent angle step below pi/4 per sample."""
+def default_sample_count(length: float, kappa_sup: float) -> int:
+    """Grid size that keeps the tangent angle step below pi/4 per sample, at least 1025."""
     steps = 4.0 * length * max(kappa_sup, 1e-12) / math.pi
     if not steps <= SAMPLE_CAP:  # refuses inf and nan as well
         raise ValueError(
             f"curvature sup {kappa_sup:.6g} over length {length:.6g} needs more than {SAMPLE_CAP} samples"
         )
-    return odd_sample_count(max(floor, math.ceil(steps)))
+    return odd_sample_count(max(1024, math.ceil(steps)))
 
 
 def _probe_sup(kappa, start: float, length: float) -> float:
     s = np.linspace(start, start + length, 4097)
     return sup_norm(kappa(s))
-
-
-def tangential_angle(kappa, length: float, n: int, theta0: float = 0.0, start: float = 0.0):
-    """Tangent angle grid: theta(s) = theta0 + integral of kappa from ``start``."""
-    if length <= 0:
-        raise ValueError("length must be positive")
-    n = odd_sample_count(max(int(n), 16))
-    if n > SAMPLE_CAP:
-        raise ValueError(f"{n} samples exceed the cap of {SAMPLE_CAP}")
-    s = np.linspace(start, start + length, n)
-    theta = theta0 + cumulative_simpson(kappa(s), s[1] - s[0])
-    return s, theta
 
 
 def reconstruct(
@@ -78,22 +65,30 @@ def reconstruct(
 
     ``pose`` is the initial point and tangent angle; the default pose starts
     at the origin heading along +x, which is the canonical registration used
-    by the distance bounds.
+    by the distance bounds.  The tangent angle is theta0 plus the integral of
+    ``kappa`` from ``start``; more than :data:`SAMPLE_CAP` samples are refused.
     """
+    if length <= 0:
+        raise ValueError("length must be positive")
     if n is None:
         n = default_sample_count(length, _probe_sup(kappa, start, length))
+    n = odd_sample_count(max(int(n), 16))
+    if n > SAMPLE_CAP:
+        raise ValueError(f"{n} samples exceed the cap of {SAMPLE_CAP}")
     origin, theta0 = pose
-    s, theta = tangential_angle(kappa, length, n, theta0=theta0, start=start)
+    s = np.linspace(start, start + length, n)
+    theta = theta0 + cumulative_simpson(kappa(s), s[1] - s[0])
     direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     pts = np.asarray(origin, dtype=float) + cumulative_simpson(direction, s[1] - s[0])
     return SampledCurve(s, pts)
 
 
-def curvature(curve: SampledCurve, min_speed: float = 1e-9):
+def curvature(curve: SampledCurve):
     """Signed curvature samples from a curve: det(g', g'') / |g'|^3.
 
     Central differences at interior nodes, one-sided second order at the
-    ends; positive sign for counterclockwise turning.
+    ends; positive sign for counterclockwise turning.  A sample with speed
+    below 1e-9 is refused.
     """
     t, p = curve.params, curve.points
     d1 = np.gradient(p, t, axis=0, edge_order=2)
@@ -109,23 +104,24 @@ def curvature(curve: SampledCurve, min_speed: float = 1e-9):
     else:
         d2 = np.gradient(d1, t, axis=0, edge_order=2)
     speed = np.hypot(d1[:, 0], d1[:, 1])
-    if speed.min() < min_speed:
+    if speed.min() < 1e-9:
         bad = t[int(np.argmin(speed))]
         raise ValueError(f"zero-speed sample at parameter {bad!r}")
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     return t, det / speed**3
 
 
-def arclength_reparametrize(curve: SampledCurve, min_speed: float = 1e-9) -> SampledCurve:
+def arclength_reparametrize(curve: SampledCurve) -> SampledCurve:
     """Resample a curve uniformly in Euclidean arc length (same sample count).
 
     The density integrated by :func:`~curverecon.geometry.resample_by_rate`
-    is the speed of the interpolating cubic spline.
+    is the speed of the interpolating cubic spline, which must be at least
+    1e-9 at every node.
     """
     t = curve.params
     dspline = CubicSpline(t, curve.points, axis=0).derivative()
     speed_nodes = np.hypot(*dspline(t).T)
-    if speed_nodes.min() < min_speed:
+    if speed_nodes.min() < 1e-9:
         bad = t[int(np.argmin(speed_nodes))]
         raise ValueError(f"zero-speed segment near parameter {bad!r}")
     return resample_by_rate(curve, lambda ts: np.hypot(*dspline(ts).T))
@@ -178,13 +174,11 @@ class ClosureReport:
         return f"{self.ratio.numerator}/{self.ratio.denominator}"
 
 
-def classify_closure(
-    kappa,
-    period: float | None = None,
-    max_denominator: int = 10**6,
-    tol: float = 1e-8,
-) -> ClosureReport:
-    """Predict closedness of the curve reconstructed from a periodic curvature."""
+def classify_closure(kappa, period: float | None = None) -> ClosureReport:
+    """Predict closedness of the curve reconstructed from a periodic curvature.
+
+    An inexact turning ratio is rationalized with denominator <= 10^6 and tolerance 1e-8.
+    """
     if period is None:
         period = getattr(kappa, "period", None)
     if period is None or period <= 0:
@@ -199,7 +193,7 @@ def classify_closure(
             total = mean * period
         else:
             total, _ = integrate.quad(lambda t: float(kappa(t)), 0.0, period, epsabs=1e-10, limit=500)
-        ratio = rationalize(total / TWO_PI, max_denominator=max_denominator, tol=tol)
+        ratio = rationalize(total / TWO_PI)
 
     if ratio is None:
         return ClosureReport(None, False, None, None, None)
@@ -208,17 +202,17 @@ def classify_closure(
     return ClosureReport(ratio, m > 1, m * period, xi, m)
 
 
-def turning_number(curve: SampledCurve, closure_tol: float = 1e-3) -> int:
-    """Net count of full tangent turns along a closed curve."""
+def turning_number(curve: SampledCurve) -> int:
+    """Net count of full tangent turns along a closed curve (endpoint gap at most 1e-3)."""
     gap = curve.endpoint_gap
-    if gap > closure_tol:
-        raise NotClosedError(f"endpoint gap {gap:.3e} exceeds tolerance {closure_tol:.1e}")
+    if gap > 1e-3:
+        raise NotClosedError(f"endpoint gap {gap:.3e} exceeds tolerance 1.0e-03")
     d1 = np.gradient(curve.points, curve.params, axis=0, edge_order=2)
     angles = np.unwrap(np.arctan2(d1[:, 1], d1[:, 0]))
     return round((angles[-1] - angles[0]) / TWO_PI)
 
 
-def bound_check(kappa1, kappa2, length: float, norm: str = "linf", n: int | None = None) -> BoundReport:
+def bound_check(kappa1, kappa2, length: float, norm: str = "linf") -> BoundReport:
     """Certify the reconstruction-distance bound for two curvature functions.
 
     Both curves are rebuilt from the canonical pose (which realizes the
@@ -230,9 +224,8 @@ def bound_check(kappa1, kappa2, length: float, norm: str = "linf", n: int | None
     """
     if norm not in ("linf", "l1"):
         raise ValueError("norm must be 'linf' or 'l1'")
-    if n is None:
-        sup = max(_probe_sup(kappa1, 0.0, length), _probe_sup(kappa2, 0.0, length))
-        n = default_sample_count(length, sup)
+    sup = max(_probe_sup(kappa1, 0.0, length), _probe_sup(kappa2, 0.0, length))
+    n = default_sample_count(length, sup)
     c1 = reconstruct(kappa1, length, n)
     c2 = reconstruct(kappa2, length, n)
     s = c1.params
@@ -256,7 +249,5 @@ def bound_check(kappa1, kappa2, length: float, norm: str = "linf", n: int | None
         bound_stated=stated,
         bound=certified,
         measured=measured,
-        satisfied=measured <= certified + floor,
-        stated_bound_held=measured <= stated + floor,
         solver_floor=floor,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affine import GRID_CAP
 from .geometry import SampledCurve
 
 __all__ = [
@@ -35,21 +36,15 @@ class SeriesTruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonomialSeries:
-    """Series data for affine curvature c * alpha^k with unimodular start frame."""
+    """Series data for affine curvature c * alpha^k from the canonical frame T0 = (1, 0), N0 = (0, 1)."""
 
     c: float
     k: int
-    T0: tuple = (1.0, 0.0)
-    N0: tuple = (0.0, 1.0)
     term_tol: float = 1e-14
 
     def __post_init__(self):
         if self.k < 0 or int(self.k) != self.k:
             raise ValueError("exponent k must be a non-negative integer")
-        t0, n0 = np.asarray(self.T0, dtype=float), np.asarray(self.N0, dtype=float)
-        det = t0[0] * n0[1] - t0[1] * n0[0]
-        if abs(det - 1.0) > 1e-12:
-            raise ValueError(f"start frame must be unimodular, det = {det!r}")
 
     @property
     def K(self) -> int:
@@ -111,37 +106,33 @@ def tangent(ms: MonomialSeries, alpha):
     """Affine tangent T(alpha) of the monomial-curvature curve (truncated series)."""
     a = np.asarray(alpha, dtype=float)
     u, v = tangent_coefficients(ms, float(np.abs(a).max()))
-    su = _eval_lines(a, ms.K, u, 0)
-    sv = _eval_lines(a, ms.K, v, 1)
-    t0, n0 = np.asarray(ms.T0), np.asarray(ms.N0)
-    out = su[..., None] * t0 + sv[..., None] * n0
+    out = np.stack([_eval_lines(a, ms.K, u, 0), _eval_lines(a, ms.K, v, 1)], axis=-1)
     return out if a.ndim else out.reshape(2)
 
 
 def curve(ms: MonomialSeries, length: float, n: int) -> SampledCurve:
-    """Curve from termwise integration of the tangent series, origin (0,0)."""
+    """Curve from termwise integration of the tangent series, origin (0,0), n <= affine.GRID_CAP."""
     if n < 2:
         raise ValueError("need at least 2 samples")
+    if n > GRID_CAP:
+        raise ValueError(f"{n} samples exceed the cap of {GRID_CAP}")
     a = np.linspace(0.0, length, n)
     u, v = tangent_coefficients(ms, length)
     K = ms.K
     # float aranges: an exponent K beyond int64 would overflow an integer product
     iu = u / (K * np.arange(u.size, dtype=float) + 1.0)
     iv = v / (K * np.arange(v.size, dtype=float) + 2.0)
-    gx = _eval_lines(a, K, iu, 1)
-    gy = _eval_lines(a, K, iv, 2)
-    t0, n0 = np.asarray(ms.T0), np.asarray(ms.N0)
-    pts = gx[:, None] * t0 + gy[:, None] * n0
+    pts = np.stack([_eval_lines(a, K, iu, 1), _eval_lines(a, K, iv, 2)], axis=1)
     return SampledCurve(a, pts)
 
 
-def b_coefficients(c: float, k: int, n_max: int, T0=(1.0, 0.0), N0=(0.0, 1.0)) -> np.ndarray:
-    """Raw vector coefficients b_0..b_n of the tangent series (direct recurrence)."""
+def b_coefficients(c: float, k: int, n_max: int) -> np.ndarray:
+    """Raw vector coefficients b_0..b_n of the tangent series from b_0 = T0, b_1 = N0 (direct recurrence)."""
     K = k + 2
     b = np.zeros((n_max + 1, 2))
-    b[0] = np.asarray(T0, dtype=float)
+    b[0] = (1.0, 0.0)
     if n_max >= 1:
-        b[1] = np.asarray(N0, dtype=float)
+        b[1] = (0.0, 1.0)
     for n in range(K, n_max + 1):
         b[n] = -c * b[n - K] / (n * (n - 1))
     return b

@@ -128,14 +128,19 @@ class TestReconstruct:
         assert stdout == ""
         assert err.startswith("solver error:") and "samples" in err
 
-    def test_sample_cap_exits_3(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ("euclid", "--curvature", "const:1", "--domain", "0:1", "--samples", "2049"),
+        ("affine", "--curvature", "const:0", "--domain", "0:1", "--samples", "300003", "--iterations", "1"),
+        ("series", "--curvature", "monomial:1,1", "--domain", "0:1", "--samples", "300003"),
+        ("affine", "--curvature", "const:1", "--domain", "0:1", "--samples", "17", "--iterations", "20000"),
+    ], ids=["euclid-samples", "affine-samples", "series-samples", "affine-iterations"])
+    def test_sample_cap_exits_3(self, capsys, monkeypatch, argv):
         from curverecon import euclidean
 
         monkeypatch.setattr(euclidean, "SAMPLE_CAP", 1025)
-        code, _, err = run_cli(capsys, "reconstruct", "euclid", "--curvature", "const:1",
-                               "--domain", "0:1", "--samples", "2049")
+        code, _, err = run_cli(capsys, "reconstruct", *argv)
         assert code == 3
-        assert "cap" in err
+        assert err.startswith("solver error:") and "cap" in err
 
     def test_non_finite_spec_number_exits_2(self, capsys):
         code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
@@ -226,8 +231,7 @@ class TestCompare:
 
         fake = BoundReport(
             mode="euclidean", norm="linf", delta=1.0, length=1.0, c_hat=None,
-            bound_stated=1.0, bound=1.0, measured=2.0, satisfied=False,
-            stated_bound_held=False, solver_floor=0.0,
+            bound_stated=1.0, bound=1.0, measured=2.0, solver_floor=0.0,
         )
         monkeypatch.setattr(euclidean, "bound_check", lambda *a, **k: fake)
         code, stdout, _ = run_cli(capsys, "compare", "euclid", "const:1", "const:1",

@@ -13,7 +13,6 @@ from curverecon.curvatures import (
     SinePlusBump,
     SinusoidCurvature,
     SpecParseError,
-    TableCurvature,
     bump,
     parse_spec,
     parse_spec_cli,
@@ -175,8 +174,3 @@ class TestTable:
         spec = self.make_table(tmp_path, periodic=True)
         assert abs(spec(2.5) - spec(0.5)) < 1e-12
         assert spec.period == 2.0
-
-    def test_cubic_option(self):
-        g = np.linspace(0.0, 1.0, 21)
-        spec = TableCurvature(g, g**3, interpolation="cubic")
-        assert abs(spec(0.517) - 0.517**3) < 1e-4

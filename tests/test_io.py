@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from curverecon import affine, euclidean
 from curverecon.curvatures import parse_spec
 from curverecon.curveio import (
     CsvFormatError,
-    PlotSpec,
     bound_report_json,
     closure_report_json,
     emit_svg,
@@ -75,7 +75,7 @@ class TestSvg:
 
     def test_unit_circle_bbox_is_square(self, tmp_path):
         path = tmp_path / "c.svg"
-        emit_svg(PlotSpec(curves=(self.circle(),)), path)
+        emit_svg((self.circle(),), path)
         text = path.read_text()
         coords = re.findall(r"points=\"([^\"]+)\"", text)[0]
         xy = np.array([list(map(float, pair.split(","))) for pair in coords.split()])
@@ -88,14 +88,16 @@ class TestSvg:
         a = SampledCurve(t, np.stack([t, t], axis=1))
         b = SampledCurve(t, np.stack([t, t**2], axis=1))
         path = tmp_path / "two.svg"
-        emit_svg(PlotSpec(curves=((a, "first"), (b, "second"))), path)
+        emit_svg(((a, "first"), (b, "second a&b <c>")), path)
         text = path.read_text()
         assert text.count("<polyline") == 2
         assert '<g id="legend"' in text
         assert "first" in text and "second" in text
+        labels = [t.text for t in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert labels == ["first", "second a&b <c>"]
 
     def test_deterministic_bytes(self, tmp_path):
-        spec = PlotSpec(curves=((self.circle(), "circle"),))
+        spec = ((self.circle(), "circle"),)
         emit_svg(spec, tmp_path / "a.svg")
         emit_svg(spec, tmp_path / "b.svg")
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
@@ -103,11 +105,11 @@ class TestSvg:
     def test_zero_area_rejected(self, tmp_path):
         pt = SampledCurve([0.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="zero-area"):
-            emit_svg(PlotSpec(curves=(pt,)), tmp_path / "z.svg")
+            emit_svg((pt,), tmp_path / "z.svg")
 
     def test_flat_segment_is_padded_not_rejected(self, tmp_path):
         seg = SampledCurve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
-        emit_svg(PlotSpec(curves=(seg,)), tmp_path / "seg.svg")
+        emit_svg((seg,), tmp_path / "seg.svg")
         assert (tmp_path / "seg.svg").exists()
 
 

@@ -65,10 +65,6 @@ class TestCurve:
         sc = series.curve(series.MonomialSeries(1.0, k), 3.0, len(pc))
         assert hausdorff_distance(sc, pc) <= 1e-6
 
-    def test_unimodular_start_required(self):
-        with pytest.raises(ValueError, match="unimodular"):
-            series.MonomialSeries(1.0, 1, T0=(2.0, 0.0), N0=(0.0, 1.0))
-
 
 class TestCoefficients:
     def test_zero_pattern_exact(self):
