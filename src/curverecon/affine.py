@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .geometry import BoundReport, SampledCurve, grid_distance, resample_by_rate, sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
-from .quadrature import cumulative_simpson, odd_sample_count
+from .quadrature import cumulative_simpson, odd_sample_count, probe
 
 __all__ = [
     "PicardConvergenceError",
@@ -33,6 +33,7 @@ __all__ = [
 
 ITERATION_CAP = 10_000
 GRID_CAP = 300_001
+WORK_CAP = 50_000_000
 
 
 class PicardConvergenceError(RuntimeError):
@@ -150,7 +151,6 @@ class PicardResult:
     iterations: int
     c: float
     tail_bound: float
-    a0_norm: float
     step_gaps: tuple = field(default=(), compare=False)
 
     @property
@@ -185,13 +185,37 @@ def _iterations_for_tol(c: float, length: float, tol: float, a0_norm: float) -> 
     )
 
 
-def _default_grid(c: float, length: float, tol: float) -> int:
-    # quadrature step chosen so h^4 * c * L stays two orders below the tail
-    # tolerance, with a floor that resolves the frame oscillation
-    h = (0.01 * tol / (c * length)) ** 0.25
-    n = int(math.ceil(length / h)) + 1
-    n_osc = int(math.ceil(4.0 * length * math.sqrt(c) / math.pi))
-    return odd_sample_count(min(GRID_CAP, max(1025, n, n_osc)))
+def _plan(c: float, length: float, a0_norm: float, n_grid=None, iterations=None, tol=None):
+    """``(iterations, n_grid)`` of one Picard run, fixed before any sweep.
+
+    Sweeps: ``iterations``, else the first count whose tail bound is below ``tol`` (1e-10).
+    Grid: ``n_grid``, else 32 L sqrt(c) / pi nodes when only ``iterations`` is given, else
+    enough that h^4 c L <= 0.01 tol and at least 4 L sqrt(c) / pi; a derived grid is clamped
+    to [1025, GRID_CAP], and every grid is made odd and at least 17.  Refused (``ValueError``):
+    ``n_grid`` > GRID_CAP, ``iterations`` > ITERATION_CAP, a non-finite ``c``, and more than
+    WORK_CAP node-sweeps.
+    """
+    if n_grid is not None and n_grid > GRID_CAP:
+        raise ValueError(f"{n_grid} grid nodes exceed the cap of {GRID_CAP}")
+    if iterations is not None and iterations > ITERATION_CAP:
+        raise ValueError(f"{iterations} sweeps exceed the cap of {ITERATION_CAP}")
+    if not math.isfinite(c):
+        raise ValueError(f"curvature sup {c} on the domain is not finite")
+    sweeps_only = iterations is not None and tol is None
+    tol = 1e-10 if tol is None else tol
+    if iterations is None:
+        iterations = _iterations_for_tol(c, length, tol, a0_norm)
+    if n_grid is None:
+        if sweeps_only:
+            n_grid = math.ceil(32.0 * length * math.sqrt(c) / math.pi)
+        else:
+            h = (0.01 * tol / (c * length)) ** 0.25
+            n_grid = max(math.ceil(length / h) + 1, math.ceil(4.0 * length * math.sqrt(c) / math.pi))
+        n_grid = min(GRID_CAP, max(1025, n_grid))
+    n_grid = odd_sample_count(max(int(n_grid), 17))
+    if iterations * n_grid > WORK_CAP:
+        raise ValueError(f"{iterations} sweeps x {n_grid} nodes exceed the work cap of {WORK_CAP}")
+    return iterations, n_grid
 
 
 def picard(
@@ -206,34 +230,20 @@ def picard(
     """Reconstruct a curve from its affine curvature by fixed-point sweeps.
 
     Stops after ``iterations`` sweeps when given, otherwise at the first
-    count whose a-priori tail bound drops below ``tol`` (default 1e-10).
-    An explicit ``n_grid`` above :data:`GRID_CAP` or ``iterations`` above
-    :data:`ITERATION_CAP` is refused before any work.  Returns the curve and
-    a :class:`PicardResult` carrying the certified ``tail_bound``.
+    count whose a-priori tail bound drops below ``tol`` (default 1e-10);
+    :func:`_plan` sets the sweeps and grid and refuses over-cap runs before
+    any work.  Returns the curve and a :class:`PicardResult` carrying the
+    certified ``tail_bound``.
     """
     if length <= 0:
         raise ValueError("length must be positive")
-    if n_grid is not None and n_grid > GRID_CAP:
-        raise ValueError(f"{n_grid} grid nodes exceed the cap of {GRID_CAP}")
-    if iterations is not None and iterations > ITERATION_CAP:
-        raise ValueError(f"{iterations} sweeps exceed the cap of {ITERATION_CAP}")
     A0 = np.eye(2) if A0 is None else np.asarray(A0, dtype=float).reshape(2, 2)
     if abs(A0[0, 0] * A0[1, 1] - A0[0, 1] * A0[1, 0] - 1.0) > 1e-9:
         raise ValueError("initial frame must be unimodular")
     a0_norm = sup_norm(A0)
 
-    probe = np.linspace(0.0, length, 4097)
-    c = max(1.0, sup_norm(mu(probe)))
-    fixed_count = iterations is not None
-    if iterations is None:
-        iterations = _iterations_for_tol(c, length, 1e-10 if tol is None else tol, a0_norm)
-    if n_grid is None:
-        if fixed_count and tol is None:
-            # sweep count is the accuracy cap here; resolve the oscillation well
-            n_grid = odd_sample_count(max(1025, int(math.ceil(32.0 * length * math.sqrt(c) / math.pi))))
-        else:
-            n_grid = _default_grid(c, length, 1e-10 if tol is None else tol)
-    n_grid = odd_sample_count(max(int(n_grid), 17))
+    c = max(1.0, sup_norm(probe(mu, length)))
+    iterations, n_grid = _plan(c, length, a0_norm, n_grid, iterations, tol)
 
     grid = np.linspace(0.0, length, n_grid)
     h = grid[1] - grid[0]
@@ -258,7 +268,6 @@ def picard(
         iterations=iterations,
         c=c,
         tail_bound=_tail_bound(c, length, iterations, a0_norm),
-        a0_norm=a0_norm,
         step_gaps=tuple(gaps),
     )
     return SampledCurve(grid, pts), result
@@ -299,12 +308,8 @@ def picard_bounds(c: float, alpha: float, n: int, a0_norm: float = 1.0) -> dict:
 
 def _probe_gap(mu1, mu2, length: float):
     """(delta, c_hat) on a 4097-point probe: sup |mu1 - mu2| and max(1, sup |mu1|, sup |mu2|)."""
-    probe = np.linspace(0.0, length, 4097)
-    v1 = np.asarray(mu1(probe), dtype=float)
-    v2 = np.asarray(mu2(probe), dtype=float)
-    delta = float(np.abs(v1 - v2).max())
-    c_hat = max(1.0, float(np.abs(v1).max()), float(np.abs(v2).max()))
-    return delta, c_hat
+    v1, v2 = probe(mu1, length), probe(mu2, length)
+    return sup_norm(v1 - v2), max(1.0, sup_norm(v1), sup_norm(v2))
 
 
 def frame_divergence_bound(mu1, mu2, length: float) -> float:
@@ -334,8 +339,7 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
         bound = math.sqrt(2.0) * delta * length / c_hat * grow
 
     tol = max(1e-13, min(1e-10, 0.01 * bound)) if bound > 0 else 1e-13
-    n_iter = _iterations_for_tol(c_hat, length, tol, 1.0)
-    n_grid = _default_grid(c_hat, length, tol)
+    n_iter, n_grid = _plan(c_hat, length, 1.0, tol=tol)
     c1, r1 = picard(mu1, length, n_grid=n_grid, iterations=n_iter)
     c2, r2 = picard(mu2, length, n_grid=n_grid, iterations=n_iter)
     measured = grid_distance(c1, c2)

@@ -5,17 +5,17 @@ failure, 4 certified bound violated (a regression tripwire for CI).
 """
 
 import argparse
-import json
 import math
 import sys
 
 from . import affine, euclidean, series
-from .curvatures import EvaluationDomainError, SpecParseError, parse_spec_cli
+from .curvatures import EvaluationDomainError, MonomialCurvature, SpecParseError, parse_spec_cli
 from .curveio import (
     CsvFormatError,
     bound_report_json,
     closure_report_json,
     emit_svg,
+    report_json,
     write_curve_csv,
 )
 
@@ -83,13 +83,6 @@ def _shifted(spec, offset: float):
     return lambda t: spec(offset + t)
 
 
-def _emit_curve(curve, args, label: str):
-    if args.out:
-        write_curve_csv(curve, args.out)
-    if args.svg:
-        emit_svg(((curve, label),), args.svg)
-
-
 def _cmd_reconstruct(args) -> int:
     spec = parse_spec_cli(args.curvature)
     a, b = _parse_domain(args.domain)
@@ -103,47 +96,26 @@ def _cmd_reconstruct(args) -> int:
 
     if args.mode == "euclid":
         curve = euclidean.reconstruct(spec, length, n=args.samples, start=a)
-        summary = {
-            "mode": "euclid",
-            "length": length,
-            "endpoint_gap": curve.endpoint_gap,
-            "samples": len(curve),
-        }
+        extras = {}
     elif args.mode == "affine":
-        kwargs = {}
-        if args.iterations is not None:
-            kwargs["iterations"] = args.iterations
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-        curve, result = affine.picard(_shifted(spec, a), length, n_grid=args.samples, **kwargs)
-        summary = {
-            "mode": "affine",
-            "length": length,
-            "endpoint_gap": curve.endpoint_gap,
-            "samples": len(curve),
-            "iterations": result.iterations,
-            "c": result.c,
-            "tail_bound": result.tail_bound,
-        }
+        curve, result = affine.picard(
+            _shifted(spec, a), length, n_grid=args.samples, iterations=args.iterations, tol=args.tol
+        )
+        extras = {"iterations": result.iterations, "c": result.c, "tail_bound": result.tail_bound}
     else:
-        from .curvatures import MonomialCurvature
-
         if not isinstance(spec, MonomialCurvature):
             raise _UsageError("series mode needs a 'monomial:<c>,<k>' curvature")
         if a != 0.0:
             raise _UsageError("series mode integrates from 0; use a domain '0:<b>'")
         ms = series.MonomialSeries(float(spec.c), spec.k, term_tol=args.tol or 1e-14)
-        n = args.samples or 4097
-        curve = series.curve(ms, length, n)
-        summary = {
-            "mode": "series",
-            "length": length,
-            "endpoint_gap": curve.endpoint_gap,
-            "samples": len(curve),
-            "terms": series.truncation_count(ms, length),
-        }
-    _emit_curve(curve, args, args.curvature)
-    print(json.dumps(summary))
+        curve = series.curve(ms, length, args.samples or 4097)
+        extras = {"terms": series.truncation_count(ms, length)}
+    if args.out:
+        write_curve_csv(curve, args.out)
+    if args.svg:
+        emit_svg(((curve, args.curvature),), args.svg)
+    summary = {"mode": args.mode, "length": length, "endpoint_gap": curve.endpoint_gap, "samples": len(curve)}
+    print(report_json(summary | extras))
     return EXIT_OK
 
 

@@ -76,20 +76,17 @@ def bump(s):
 class CurvatureSpec:
     """Base class: callable curvature function with optional exact structure."""
 
-    period: float | None = None
-
     def __call__(self, t):
         raise NotImplementedError
 
     def to_string(self) -> str:
         raise NotImplementedError
 
-    def closure_ratio_exact(self, period: float) -> Fraction | None:
-        """Exact (1/2pi) * integral over one period, when the kind supports it."""
-        return None
+    def turning_ratio(self, period: float) -> Fraction | float | None:
+        """(1/2pi) * integral of the curvature over [0, period], computed as (mean * period) / 2pi.
 
-    def mean_analytic(self, period: float) -> float | None:
-        """Mean value over [0, period] when known in closed form."""
+        A ``Fraction`` when exact, a float when in closed form, ``None`` when quadrature is needed.
+        """
         return None
 
     def __repr__(self):
@@ -110,8 +107,6 @@ def _is_natural_period(period: float, natural: float) -> bool:
 class ConstantCurvature(CurvatureSpec):
     value: Number
 
-    period = None
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         v = np.full_like(t, float(self.value))
@@ -120,8 +115,8 @@ class ConstantCurvature(CurvatureSpec):
     def to_string(self):
         return f"const:{_fmt_number(self.value)}"
 
-    def mean_analytic(self, period):
-        return float(self.value)
+    def turning_ratio(self, period):
+        return float(self.value) * period / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,6 @@ class SinusoidCurvature(CurvatureSpec):
     b: Number
     c: Number
 
-    period = TWO_PI
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         v = float(self.a) * np.sin(t) + float(self.b) * np.cos(t) + float(self.c)
@@ -142,15 +135,10 @@ class SinusoidCurvature(CurvatureSpec):
     def to_string(self):
         return f"sinusoid:{_fmt_number(self.a)},{_fmt_number(self.b)},{_fmt_number(self.c)}"
 
-    def closure_ratio_exact(self, period):
-        if isinstance(self.c, Fraction) and _is_natural_period(period, TWO_PI):
-            return self.c
-        return None
-
-    def mean_analytic(self, period):
-        if _is_natural_period(period, TWO_PI):
-            return float(self.c)
-        return None
+    def turning_ratio(self, period):
+        if not _is_natural_period(period, TWO_PI):
+            return None
+        return self.c if isinstance(self.c, Fraction) else float(self.c) * period / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -162,8 +150,6 @@ class SinePlusBump(CurvatureSpec):
     """
 
     r: Fraction
-
-    period = TWO_PI
 
     def __post_init__(self):
         if self.r == 0:
@@ -177,14 +163,9 @@ class SinePlusBump(CurvatureSpec):
     def to_string(self):
         return f"kn:{_fmt_number(self.r)}"
 
-    def closure_ratio_exact(self, period):
+    def turning_ratio(self, period):
         if _is_natural_period(period, TWO_PI):
             return Fraction(self.r.denominator, self.r.numerator)
-        return None
-
-    def mean_analytic(self, period):
-        if _is_natural_period(period, TWO_PI):
-            return 1.0 / float(self.r)
         return None
 
 
@@ -193,8 +174,6 @@ class BumpPlusOneSquared(CurvatureSpec):
     """(r*pi)^2 * (bump(t) + 1)^2 on [0, 2], extended 2-periodically."""
 
     r: Fraction
-
-    period = 2.0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -211,8 +190,6 @@ class MonomialCurvature(CurvatureSpec):
 
     c: Number
     k: int
-
-    period = None
 
     def __post_init__(self):
         if self.k < 0:
@@ -246,10 +223,6 @@ class TableCurvature(CurvatureSpec):
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
-    @property
-    def period(self):  # type: ignore[override]
-        return float(self.grid[-1] - self.grid[0]) if self.periodic else None
-
     def __eq__(self, other):
         return (
             isinstance(other, TableCurvature)
@@ -258,11 +231,11 @@ class TableCurvature(CurvatureSpec):
             and self.periodic == other.periodic
         )
 
-    def mean_analytic(self, period):
+    def turning_ratio(self, period):
         span = float(self.grid[-1] - self.grid[0])
         if abs(period - span) <= 1e-9 * span:
             # trapezoid is exact for a linearly interpolated table
-            return float(np.trapezoid(self.values, self.grid)) / span
+            return float(np.trapezoid(self.values, self.grid)) / span * period / TWO_PI
         return None
 
     def __call__(self, t):

@@ -9,6 +9,7 @@ repeated runs are byte-identical.
 import csv
 import html
 import json
+import math
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "picard_result_json",
     "read_curve_csv",
     "read_table_csv",
+    "report_json",
     "write_curve_csv",
     "write_table_csv",
 ]
@@ -43,7 +45,11 @@ def _parse_float(text: str, path, line_no: int) -> float:
 
 
 def _read_rows(path, expected_headers):
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise CsvFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -175,9 +181,17 @@ def emit_svg(curves, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def report_json(fields: dict) -> str:
+    """JSON object of ``fields`` with a non-finite float written as ``null`` (RFC 8259 has no inf or NaN)."""
+    return json.dumps(
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in fields.items()},
+        allow_nan=False,
+    )
+
+
 def bound_report_json(report: BoundReport) -> str:
     c_hat = None if report.c_hat is None else float(report.c_hat)
-    return json.dumps(
+    return report_json(
         {
             "mode": report.mode,
             "norm": report.norm,
@@ -194,7 +208,7 @@ def bound_report_json(report: BoundReport) -> str:
 
 
 def closure_report_json(report) -> str:
-    return json.dumps(
+    return report_json(
         {
             "ratio": report.ratio_string,
             "closed": bool(report.predicted_closed),
@@ -206,7 +220,7 @@ def closure_report_json(report) -> str:
 
 
 def picard_result_json(result) -> str:
-    return json.dumps(
+    return report_json(
         {
             "iterations": int(result.iterations),
             "c": float(result.c),

@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from .geometry import BoundReport, SampledCurve, grid_distance, resample_by_rate, sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
-from .quadrature import cumulative_simpson, odd_sample_count
+from .quadrature import cumulative_simpson, odd_sample_count, probe
 
 __all__ = [
     "ClosureReport",
@@ -49,11 +49,6 @@ def default_sample_count(length: float, kappa_sup: float) -> int:
     return odd_sample_count(max(1024, math.ceil(steps)))
 
 
-def _probe_sup(kappa, start: float, length: float) -> float:
-    s = np.linspace(start, start + length, 4097)
-    return sup_norm(kappa(s))
-
-
 def reconstruct(
     kappa,
     length: float,
@@ -71,7 +66,7 @@ def reconstruct(
     if length <= 0:
         raise ValueError("length must be positive")
     if n is None:
-        n = default_sample_count(length, _probe_sup(kappa, start, length))
+        n = default_sample_count(length, sup_norm(probe(kappa, length, start)))
     n = odd_sample_count(max(int(n), 16))
     if n > SAMPLE_CAP:
         raise ValueError(f"{n} samples exceed the cap of {SAMPLE_CAP}")
@@ -174,26 +169,21 @@ class ClosureReport:
         return f"{self.ratio.numerator}/{self.ratio.denominator}"
 
 
-def classify_closure(kappa, period: float | None = None) -> ClosureReport:
-    """Predict closedness of the curve reconstructed from a periodic curvature.
+def classify_closure(kappa, period: float) -> ClosureReport:
+    """Predict closedness of the curve reconstructed from a periodic curvature spec.
 
-    An inexact turning ratio is rationalized with denominator <= 10^6 and tolerance 1e-8.
+    The turning ratio is ``kappa.turning_ratio(period)``, or (1/2pi) * the quadrature integral
+    over [0, period] when that is None; a ratio that is not a ``Fraction`` is rationalized with
+    denominator <= 10^6 and tolerance 1e-8.
     """
-    if period is None:
-        period = getattr(kappa, "period", None)
-    if period is None or period <= 0:
+    if period <= 0:
         raise ValueError("a positive period is required")
-
-    ratio = None
-    if hasattr(kappa, "closure_ratio_exact"):
-        ratio = kappa.closure_ratio_exact(period)
+    ratio = kappa.turning_ratio(period)
     if ratio is None:
-        mean = kappa.mean_analytic(period) if hasattr(kappa, "mean_analytic") else None
-        if mean is not None:
-            total = mean * period
-        else:
-            total, _ = integrate.quad(lambda t: float(kappa(t)), 0.0, period, epsabs=1e-10, limit=500)
-        ratio = rationalize(total / TWO_PI)
+        total, _ = integrate.quad(lambda t: float(kappa(t)), 0.0, period, epsabs=1e-10, limit=500)
+        ratio = total / TWO_PI
+    if not isinstance(ratio, Fraction):
+        ratio = rationalize(ratio)
 
     if ratio is None:
         return ClosureReport(None, False, None, None, None)
@@ -224,7 +214,7 @@ def bound_check(kappa1, kappa2, length: float, norm: str = "linf") -> BoundRepor
     """
     if norm not in ("linf", "l1"):
         raise ValueError("norm must be 'linf' or 'l1'")
-    sup = max(_probe_sup(kappa1, 0.0, length), _probe_sup(kappa2, 0.0, length))
+    sup = max(sup_norm(probe(kappa1, length)), sup_norm(probe(kappa2, length)))
     n = default_sample_count(length, sup)
     c1 = reconstruct(kappa1, length, n)
     c2 = reconstruct(kappa2, length, n)

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curverecon import cli
-from curverecon.curveio import read_curve_csv
+from curverecon.curveio import read_curve_csv, write_table_csv
 from curverecon.geometry import BoundReport, hausdorff_distance
 
 
@@ -13,6 +18,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON: the ``Infinity``/``NaN`` tokens are refused."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestReconstruct:
@@ -133,7 +147,8 @@ class TestReconstruct:
         ("affine", "--curvature", "const:0", "--domain", "0:1", "--samples", "300003", "--iterations", "1"),
         ("series", "--curvature", "monomial:1,1", "--domain", "0:1", "--samples", "300003"),
         ("affine", "--curvature", "const:1", "--domain", "0:1", "--samples", "17", "--iterations", "20000"),
-    ], ids=["euclid-samples", "affine-samples", "series-samples", "affine-iterations"])
+        ("affine", "--curvature", "const:100", "--domain", "0:10"),
+    ], ids=["euclid-samples", "affine-samples", "series-samples", "affine-iterations", "affine-work"])
     def test_sample_cap_exits_3(self, capsys, monkeypatch, argv):
         from curverecon import euclidean
 
@@ -141,6 +156,27 @@ class TestReconstruct:
         code, _, err = run_cli(capsys, "reconstruct", *argv)
         assert code == 3
         assert err.startswith("solver error:") and "cap" in err
+
+    def test_fixed_sweep_grid_is_capped_and_json_is_strict(self, capsys):
+        code, stdout, _ = run_cli(capsys, "reconstruct", "affine", "--curvature", "const:1e7",
+                                  "--domain", "0:10", "--iterations", "1")
+        assert code == 0
+        summary = strict_json(stdout)
+        assert summary["tail_bound"] is None
+        assert summary["samples"] == 300001
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_table_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "absent.csv" if kind == "missing" else tmp_path
+        for argv in (
+            ("reconstruct", "euclid", "--curvature", f"table:{path}", "--domain", "0:1"),
+            ("classify", "--curvature", f"table:{path},periodic", "--period", "1"),
+            ("compare", "affine", "const:1", f"table:{path}", "--domain", "0:1"),
+        ):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith("error:") and "cannot read" in err
 
     def test_non_finite_spec_number_exits_2(self, capsys):
         code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
@@ -224,6 +260,13 @@ class TestCompare:
         assert stdout == ""
         assert err.startswith("solver error:") and "samples" in err
 
+    def test_work_cap_refuses_before_any_sweep(self, capsys):
+        # 1,594 sweeps over 300,001 nodes per curve
+        code, stdout, err = run_cli(capsys, "compare", "affine", "const:1", "const:1.1", "--domain", "0:400")
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("solver error:") and "work cap" in err
+
     def test_violated_bound_maps_to_exit_4(self, capsys, monkeypatch):
         # the certified inequality holds mathematically, so a violation is
         # only reachable by stubbing the checker; this pins the exit code
@@ -238,3 +281,74 @@ class TestCompare:
                                   "--domain", "0:1")
         assert code == 4
         assert json.loads(stdout)["satisfied"] is False
+
+
+def _exact(r: Fraction) -> str:
+    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+
+
+_NUMBER = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.fractions(-3, 3, max_denominator=3).map(_exact),
+    st.floats(-3, 3).map(repr),
+)
+_SPEC = st.one_of(
+    _NUMBER.map("const:{}".format),
+    st.lists(_NUMBER, min_size=3, max_size=3).map(lambda xs: "sinusoid:" + ",".join(xs)),
+    st.fractions(-3, 3, max_denominator=3).map(lambda r: "kn:" + _exact(r)),
+    st.fractions(-1, 1, max_denominator=3).map(lambda r: "mun:" + _exact(r)),
+    st.tuples(_NUMBER, st.integers(0, 3)).map(lambda t: f"monomial:{t[0]},{t[1]}"),
+    st.sampled_from(["sin", "table:<table>", "table:<table>,periodic", "table:<dir>/absent.csv"]),
+    # malformed text; a leading '-' would be read by argparse as an option
+    st.text(alphabet=":,/.-+e0123456789xn ", max_size=12).filter(lambda s: not s.startswith("-")),
+)
+_START = st.just(0.0) | st.floats(-1, 1)  # series mode needs a domain starting at 0
+_DOMAIN = st.one_of(
+    st.tuples(_START, st.floats(0, 1, exclude_min=True)).map(lambda t: f"{t[0]!r}:{t[0] + t[1]!r}"),
+    st.tuples(_START, st.floats(0, 1)).map(lambda t: f"{t[0] + t[1]!r}:{t[0]!r}"),
+    st.sampled_from(["x:1", "0:", "1", "0:1:2", "a:b"]),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["euclid", "affine", "series", "classify", "compare euclid", "compare affine"]))
+    if command == "classify":
+        period = draw(st.one_of(st.floats(1e-3, 7).map(repr), st.sampled_from(["0", "-1", "nan"])))
+        return ["classify", f"--curvature={draw(_SPEC)}", f"--period={period}"]
+    domain = f"--domain={draw(_DOMAIN)}"
+    if command.startswith("compare"):
+        argv = ["compare", command.split()[1], draw(_SPEC), draw(_SPEC), domain]
+        if command == "compare euclid":
+            argv.append(f"--norm={draw(st.sampled_from(['linf', 'l1']))}")
+        return argv
+    argv = ["reconstruct", command, f"--curvature={draw(_SPEC)}", domain]
+    for flag, values in (
+        ("--samples", st.integers(8, 4097)),
+        ("--iterations", st.integers(-1, 50)),
+        ("--tol", st.sampled_from(["1e-12", "1e-6", "0", "nan"])),
+    ):
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tables")
+    t = np.linspace(0.0, 1.0, 9)
+    write_table_csv(t, 1.0 + np.sin(2.0 * np.pi * t), path / "k.csv")
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_cli_argv())
+@example(argv=["reconstruct", "euclid", "--curvature=table:<dir>/absent.csv", "--domain=0:1"])
+def test_cli_exits_with_a_documented_code(table_dir, argv):
+    """Any request over the grammar ends in an exit code from {0, 2, 3, 4}, never a traceback."""
+    argv = [a.replace("<table>", str(table_dir / "k.csv")).replace("<dir>", str(table_dir)) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            np.errstate(all="ignore"):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)

@@ -173,4 +173,3 @@ class TestTable:
     def test_periodic_wraps(self, tmp_path):
         spec = self.make_table(tmp_path, periodic=True)
         assert abs(spec(2.5) - spec(0.5)) < 1e-12
-        assert spec.period == 2.0

@@ -20,7 +20,7 @@ from curverecon.curveio import (
     write_curve_csv,
     write_table_csv,
 )
-from curverecon.geometry import SampledCurve
+from curverecon.geometry import BoundReport, SampledCurve
 
 
 class TestCurveCsv:
@@ -122,6 +122,15 @@ class TestReportJson:
             "measured", "satisfied", "stated_bound_held",
         ]
         assert data["mode"] == "euclidean" and data["satisfied"] is True
+
+    def test_infinite_bound_is_null(self):
+        rep = BoundReport(
+            mode="affine", norm="linf", delta=1.0, length=5.0, c_hat=301.0,
+            bound_stated=math.inf, bound=math.inf, measured=0.01, solver_floor=1e-12,
+        )
+        text = bound_report_json(rep)
+        assert '"bound": null' in text
+        assert "Infinity" not in text
 
     def test_closure_report_schema(self):
         rep = euclidean.classify_closure(parse_spec("kn:10"), period=2 * math.pi)
