@@ -144,7 +144,13 @@ def conic_frames(mu: float, alpha) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PicardResult:
-    """Converged frames plus the certified truncation data of the run."""
+    """Converged frames plus the certified truncation data of the run.
+
+    ``iterations`` is the planned sweep count that ``tail_bound`` certifies, and
+    ``step_gaps`` has one entry per planned sweep.  When a sweep returned its
+    input bit for bit the run stopped there; the zero gaps after it are exact,
+    since each skipped sweep would have returned the same frames.
+    """
 
     grid: np.ndarray
     frames: np.ndarray
@@ -190,8 +196,9 @@ def _plan(c: float, length: float, a0_norm: float, n_grid=None, iterations=None,
 
     Sweeps: ``iterations``, else the first count whose tail bound is below ``tol`` (1e-10).
     Grid: ``n_grid``, else 32 L sqrt(c) / pi nodes when only ``iterations`` is given, else
-    enough that h^4 c L <= 0.01 tol and at least 4 L sqrt(c) / pi; a derived grid is clamped
-    to [1025, GRID_CAP], and every grid is made odd and at least 17.  Refused (``ValueError``):
+    enough that h^4 c L <= 0.01 tol (GRID_CAP when h underflows to 0) and at least
+    4 L sqrt(c) / pi; a derived grid is clamped to [1025, GRID_CAP], and every grid is
+    made odd and at least 17.  Refused (``ValueError``):
     ``n_grid`` > GRID_CAP, ``iterations`` > ITERATION_CAP, a non-finite ``c``, and more than
     WORK_CAP node-sweeps.
     """
@@ -207,10 +214,11 @@ def _plan(c: float, length: float, a0_norm: float, n_grid=None, iterations=None,
         iterations = _iterations_for_tol(c, length, tol, a0_norm)
     if n_grid is None:
         if sweeps_only:
-            n_grid = math.ceil(32.0 * length * math.sqrt(c) / math.pi)
+            n_grid = math.ceil(min(32.0 * length * math.sqrt(c) / math.pi, GRID_CAP))
         else:
             h = (0.01 * tol / (c * length)) ** 0.25
-            n_grid = max(math.ceil(length / h) + 1, math.ceil(4.0 * length * math.sqrt(c) / math.pi))
+            steps = math.ceil(length / h) if h > 0.0 else GRID_CAP
+            n_grid = max(steps + 1, math.ceil(4.0 * length * math.sqrt(c) / math.pi))
         n_grid = min(GRID_CAP, max(1025, n_grid))
     n_grid = odd_sample_count(max(int(n_grid), 17))
     if iterations * n_grid > WORK_CAP:
@@ -232,8 +240,11 @@ def picard(
     Stops after ``iterations`` sweeps when given, otherwise at the first
     count whose a-priori tail bound drops below ``tol`` (default 1e-10);
     :func:`_plan` sets the sweeps and grid and refuses over-cap runs before
-    any work.  Returns the curve and a :class:`PicardResult` carrying the
-    certified ``tail_bound``.
+    any work.  A sweep is a pure function of the frames, so once one returns
+    its input bit for bit (a fixed point) the remaining sweeps are skipped:
+    they would return the same bytes, and their gaps are recorded as the
+    exact zeros they are.  Returns the curve and a :class:`PicardResult`
+    carrying the certified ``tail_bound`` of the planned count.
     """
     if length <= 0:
         raise ValueError("length must be positive")
@@ -259,7 +270,10 @@ def picard(
         ca[:, 1, :] = -mu_vals[:, None] * frames[:, 0, :]
         new = base + cumulative_simpson(ca, h)
         gaps.append(float(np.abs(new - frames).max()))
+        if gaps[-1] == 0.0 and np.array_equal(new.view(np.int64), frames.view(np.int64)):
+            break  # a fixed point: every later sweep returns these bytes
         frames = new
+    gaps.extend([0.0] * (iterations - len(gaps)))
 
     pts = np.asarray(origin, dtype=float) + cumulative_simpson(frames[:, 0, :], h)
     result = PicardResult(

@@ -110,10 +110,13 @@ def _cmd_reconstruct(args) -> int:
         ms = series.MonomialSeries(float(spec.c), spec.k, term_tol=args.tol or 1e-14)
         curve = series.curve(ms, length, args.samples or 4097)
         extras = {"terms": series.truncation_count(ms, length)}
-    if args.out:
-        write_curve_csv(curve, args.out)
-    if args.svg:
-        emit_svg(((curve, args.curvature),), args.svg)
+    try:
+        if args.out:
+            write_curve_csv(curve, args.out)
+        if args.svg:
+            emit_svg(((curve, args.curvature),), args.svg)
+    except OSError as exc:
+        raise _UsageError(f"{exc.filename or 'output'}: cannot write: {exc.strerror or exc}") from None
     summary = {"mode": args.mode, "length": length, "endpoint_gap": curve.endpoint_gap, "samples": len(curve)}
     print(report_json(summary | extras))
     return EXIT_OK
@@ -129,6 +132,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.mode == "affine" and args.norm != "linf":
+        raise _UsageError(f"compare affine certifies only --norm linf, got {args.norm!r}")
     s1 = parse_spec_cli(args.spec1)
     s2 = parse_spec_cli(args.spec2)
     a, b = _parse_domain(args.domain)

@@ -191,6 +191,54 @@ class TestPicard:
             affine.picard(const(1.0), 1.0, A0=np.diag([2.0, 1.0]))
 
 
+def _planned_sweeps(mu, grid, iterations):
+    """Frames, points and step gaps of every planned sweep, with no early exit."""
+    h = grid[1] - grid[0]
+    mu_vals = np.asarray(mu(grid), dtype=float)
+    frames = np.broadcast_to(np.eye(2), (grid.size, 2, 2)).copy()
+    gaps = []
+    for _ in range(iterations):
+        ca = np.stack([frames[:, 1, :], -mu_vals[:, None] * frames[:, 0, :]], axis=1)
+        new = np.eye(2)[None, :, :] + affine.cumulative_simpson(ca, h)
+        gaps.append(float(np.abs(new - frames).max()))
+        frames = new
+    return frames, np.zeros(2) + affine.cumulative_simpson(frames[:, 0, :], h), gaps
+
+
+class TestFixedPointExit:
+    @pytest.mark.parametrize("spec, kwargs, fixed_at", [
+        ("mun:2/5", {"tol": 1e-10}, 32),  # 59 planned sweeps
+        ("const:2", {"tol": 1e-10}, None),  # 26 planned sweeps, every gap positive
+        ("mun:2/5", {"iterations": 0}, None),
+    ], ids=["mun-fixed-point", "const-no-fixed-point", "zero-sweeps"])
+    def test_bitwise_equal_to_every_planned_sweep(self, spec, kwargs, fixed_at):
+        mu = parse_spec(spec)
+        curve, res = affine.picard(mu, 2.0, **kwargs)
+        frames, points, gaps = _planned_sweeps(mu, res.grid, res.iterations)
+        assert res.frames.tobytes() == frames.tobytes()
+        assert curve.points.tobytes() == points.tobytes()
+        assert res.step_gaps == tuple(gaps)
+        assert len(gaps) == res.iterations
+        if fixed_at is None:
+            assert all(g > 0.0 for g in gaps)
+        else:
+            assert gaps[fixed_at - 2] > 0.0 and set(gaps[fixed_at - 1:]) == {0.0}
+            assert fixed_at < res.iterations
+
+    def test_sweeps_after_the_fixed_point_are_skipped(self, monkeypatch):
+        calls = []
+        simpson = affine.cumulative_simpson
+
+        def counted(*args):
+            calls.append(1)
+            return simpson(*args)
+
+        monkeypatch.setattr(affine, "cumulative_simpson", counted)
+        _, res = affine.picard(parse_spec("mun:2/5"), 2.0, tol=1e-10)
+        # one call per sweep run plus one for the points
+        assert len(calls) < res.iterations + 1
+
+
 class TestPicardBounds:
     def test_zero_argument(self):
         b = affine.picard_bounds(1.0, 0.0, 3, a0_norm=2.0)

@@ -148,7 +148,9 @@ class TestReconstruct:
         ("series", "--curvature", "monomial:1,1", "--domain", "0:1", "--samples", "300003"),
         ("affine", "--curvature", "const:1", "--domain", "0:1", "--samples", "17", "--iterations", "20000"),
         ("affine", "--curvature", "const:100", "--domain", "0:10"),
-    ], ids=["euclid-samples", "affine-samples", "series-samples", "affine-iterations", "affine-work"])
+        ("affine", "--curvature", "const:1", "--domain", "0:1", "--tol", "5e-324"),
+    ], ids=["euclid-samples", "affine-samples", "series-samples", "affine-iterations", "affine-work",
+            "affine-subnormal-tol"])
     def test_sample_cap_exits_3(self, capsys, monkeypatch, argv):
         from curverecon import euclidean
 
@@ -165,6 +167,15 @@ class TestReconstruct:
         assert summary["tail_bound"] is None
         assert summary["samples"] == 300001
 
+    def test_overflowing_fixed_sweep_grid_exits_3(self, capsys):
+        # 32 L sqrt(c) / pi is inf here; the grid takes the cap and the curve overflows
+        with np.errstate(all="ignore"):
+            code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "const:1",
+                                        "--domain", "0:1e308", "--iterations", "1")
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("solver error:")
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_table_exits_2(self, capsys, tmp_path, kind):
         path = tmp_path / "absent.csv" if kind == "missing" else tmp_path
@@ -177,6 +188,15 @@ class TestReconstruct:
             assert code == 2
             assert stdout == ""
             assert err.startswith("error:") and "cannot read" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "curve.out"
+        code, stdout, err = run_cli(capsys, "reconstruct", "euclid", "--curvature", "const:1",
+                                    "--domain", "0:1", flag, str(path))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "cannot write" in err
 
     def test_non_finite_spec_number_exits_2(self, capsys):
         code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
@@ -252,6 +272,13 @@ class TestCompare:
         assert data["norm"] == "l1"
         assert data["bound"] == pytest.approx(data["delta"] * 6.283185307)
 
+    def test_affine_refuses_l1_norm(self, capsys):
+        code, stdout, err = run_cli(capsys, "compare", "affine", "const:2", "const:2.05",
+                                    "--domain", "0:2", "--norm", "l1")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "linf" in err
+
     def test_overflowing_curvature_exits_3(self, capsys):
         with np.errstate(over="ignore"):
             code, stdout, err = run_cli(capsys, "compare", "euclid", "monomial:1,400", "sin",
@@ -319,14 +346,15 @@ def _cli_argv(draw):
     domain = f"--domain={draw(_DOMAIN)}"
     if command.startswith("compare"):
         argv = ["compare", command.split()[1], draw(_SPEC), draw(_SPEC), domain]
-        if command == "compare euclid":
-            argv.append(f"--norm={draw(st.sampled_from(['linf', 'l1']))}")
-        return argv
+        norm = draw(st.none() | st.sampled_from(["linf", "l1"]))
+        return argv if norm is None else argv + [f"--norm={norm}"]
     argv = ["reconstruct", command, f"--curvature={draw(_SPEC)}", domain]
     for flag, values in (
         ("--samples", st.integers(8, 4097)),
         ("--iterations", st.integers(-1, 50)),
-        ("--tol", st.sampled_from(["1e-12", "1e-6", "0", "nan"])),
+        ("--tol", st.sampled_from(["1e-12", "1e-6", "0", "nan", "1e-300", "1e-320", "5e-324"])),
+        ("--out", st.sampled_from(["<dir>/c.csv", "<dir>/missing/c.csv"])),
+        ("--svg", st.sampled_from(["<dir>/c.svg", "<dir>/missing/c.svg"])),
     ):
         value = draw(st.none() | values)
         if value is not None:
@@ -345,10 +373,21 @@ def table_dir(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(argv=_cli_argv())
 @example(argv=["reconstruct", "euclid", "--curvature=table:<dir>/absent.csv", "--domain=0:1"])
+@example(argv=["reconstruct", "affine", "--curvature=const:1", "--domain=0:1", "--tol=5e-324"])
+@example(argv=["reconstruct", "euclid", "--curvature=const:1", "--domain=0:1", "--out=<dir>/missing/c.csv"])
+@example(argv=["compare", "affine", "const:1", "const:1.1", "--domain=0:1", "--norm=l1"])
 def test_cli_exits_with_a_documented_code(table_dir, argv):
-    """Any request over the grammar ends in an exit code from {0, 2, 3, 4}, never a traceback."""
+    """Any request over the grammar ends in an exit code from {0, 2, 3, 4}, never a traceback.
+
+    A refusal explains itself on stderr, and a compare report names the norm it was asked for.
+    """
     argv = [a.replace("<table>", str(table_dir / "k.csv")).replace("<dir>", str(table_dir)) for a in argv]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
-            np.errstate(all="ignore"):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert stderr.getvalue().startswith("error:" if code == 2 else "solver error:")
+    elif argv[0] == "compare":
+        norm = next((a.split("=")[1] for a in argv if a.startswith("--norm=")), "linf")
+        assert json.loads(stdout.getvalue())["norm"] == norm
