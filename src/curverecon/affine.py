@@ -13,7 +13,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .geometry import BoundReport, SampledCurve, grid_distance, resample_by_rate, sup_norm
+from .geometry import BoundReport, EquiAffineMap, SampledCurve, derivatives, grid_distance, resample_by_rate
+from .geometry import sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
 from .quadrature import cumulative_simpson, odd_sample_count, probe
 
@@ -89,8 +90,7 @@ def curvature_from_euclidean(s, kappa):
     k = np.asarray(kappa, dtype=float)
     if k.min() <= 0.0:
         raise ValueError(f"curvature must be positive; min {k.min():.3e} at s={s[int(np.argmin(k))]!r}")
-    ks = np.gradient(k, s, edge_order=2)
-    kss = np.gradient(ks, s, edge_order=2)
+    ks, kss = derivatives(s, k)
     mu = (3.0 * k * (kss + 3.0 * k**3) - 5.0 * ks**2) / (9.0 * k ** (8.0 / 3.0))
     alpha = cumulative_trapezoid(np.cbrt(k), s, initial=0.0)
     alpha_uniform = np.linspace(0.0, alpha[-1], s.size)
@@ -232,8 +232,7 @@ def picard(
     n_grid: int | None = None,
     iterations: int | None = None,
     tol: float | None = None,
-    A0=None,
-    origin=(0.0, 0.0),
+    pose: EquiAffineMap | None = None,
 ):
     """Reconstruct a curve from its affine curvature by fixed-point sweeps.
 
@@ -243,14 +242,15 @@ def picard(
     any work.  A sweep is a pure function of the frames, so once one returns
     its input bit for bit (a fixed point) the remaining sweeps are skipped:
     they would return the same bytes, and their gaps are recorded as the
-    exact zeros they are.  Returns the curve and a :class:`PicardResult`
-    carrying the certified ``tail_bound`` of the planned count.
+    exact zeros they are.  Without ``pose`` the curve has canonical initial
+    data (origin, identity frame); with it, the initial frame is the inverse
+    of ``pose``'s linear part and the curve starts at its translation, which
+    is ``pose`` applied to the canonical curve.  Returns the curve and a
+    :class:`PicardResult` carrying the certified ``tail_bound`` of the planned count.
     """
     if length <= 0:
         raise ValueError("length must be positive")
-    A0 = np.eye(2) if A0 is None else np.asarray(A0, dtype=float).reshape(2, 2)
-    if abs(A0[0, 0] * A0[1, 1] - A0[0, 1] * A0[1, 0] - 1.0) > 1e-9:
-        raise ValueError("initial frame must be unimodular")
+    A0, origin = (np.eye(2), np.zeros(2)) if pose is None else (pose.inverse().linear, pose.translation)
     a0_norm = sup_norm(A0)
 
     c = max(1.0, sup_norm(probe(mu, length)))
@@ -275,7 +275,7 @@ def picard(
         frames = new
     gaps.extend([0.0] * (iterations - len(gaps)))
 
-    pts = np.asarray(origin, dtype=float) + cumulative_simpson(frames[:, 0, :], h)
+    pts = origin + cumulative_simpson(frames[:, 0, :], h)
     result = PicardResult(
         grid=grid,
         frames=frames,

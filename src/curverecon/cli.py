@@ -74,10 +74,13 @@ def _parse_domain(text: str):
         raise _UsageError(f"domain bounds must be finite, got {text!r}")
     if not b > a:
         raise _UsageError(f"domain needs b > a, got {text!r}")
+    if b - a < sys.float_info.min:
+        raise _UsageError(f"domain length {b - a!r} is subnormal, below {sys.float_info.min!r}, got {text!r}")
     return a, b
 
 
 def _shifted(spec, offset: float):
+    """``t -> spec(offset + t)``: the one place a domain start is applied, since the library integrates from 0."""
     if offset == 0.0:
         return spec
     return lambda t: spec(offset + t)
@@ -95,7 +98,7 @@ def _cmd_reconstruct(args) -> int:
         raise _UsageError(f"--tol must be a positive finite number, got {args.tol!r}")
 
     if args.mode == "euclid":
-        curve = euclidean.reconstruct(spec, length, n=args.samples, start=a)
+        curve = euclidean.reconstruct(_shifted(spec, a), length, n=args.samples)
         extras = {}
     elif args.mode == "affine":
         curve, result = affine.picard(

@@ -13,7 +13,8 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from .geometry import BoundReport, SampledCurve, grid_distance, resample_by_rate, sup_norm
+from .geometry import BoundReport, RigidMotion, SampledCurve, derivatives, grid_distance, resample_by_rate
+from .geometry import sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
 from .quadrature import cumulative_simpson, odd_sample_count, probe
 
@@ -49,55 +50,38 @@ def default_sample_count(length: float, kappa_sup: float) -> int:
     return odd_sample_count(max(1024, math.ceil(steps)))
 
 
-def reconstruct(
-    kappa,
-    length: float,
-    n: int | None = None,
-    pose=((0.0, 0.0), 0.0),
-    start: float = 0.0,
-) -> SampledCurve:
-    """Curve with prescribed Euclidean curvature, unit-speed parametrized.
+def reconstruct(kappa, length: float, n: int | None = None, pose: RigidMotion | None = None) -> SampledCurve:
+    """Curve with prescribed Euclidean curvature, unit-speed parametrized on [0, length].
 
-    ``pose`` is the initial point and tangent angle; the default pose starts
-    at the origin heading along +x, which is the canonical registration used
-    by the distance bounds.  The tangent angle is theta0 plus the integral of
-    ``kappa`` from ``start``; more than :data:`SAMPLE_CAP` samples are refused.
+    Without ``pose`` the curve starts at the origin heading along +x, the
+    canonical registration used by the distance bounds; with it, the curve
+    starts at ``pose``'s translation heading at its angle, which is ``pose``
+    applied to the canonical curve.  More than :data:`SAMPLE_CAP` samples are
+    refused.
     """
     if length <= 0:
         raise ValueError("length must be positive")
     if n is None:
-        n = default_sample_count(length, sup_norm(probe(kappa, length, start)))
+        n = default_sample_count(length, sup_norm(probe(kappa, length)))
     n = odd_sample_count(max(int(n), 16))
     if n > SAMPLE_CAP:
         raise ValueError(f"{n} samples exceed the cap of {SAMPLE_CAP}")
-    origin, theta0 = pose
-    s = np.linspace(start, start + length, n)
+    theta0, origin = (0.0, np.zeros(2)) if pose is None else (pose.angle, pose.translation)
+    s = np.linspace(0.0, length, n)
     theta = theta0 + cumulative_simpson(kappa(s), s[1] - s[0])
     direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = np.asarray(origin, dtype=float) + cumulative_simpson(direction, s[1] - s[0])
+    pts = origin + cumulative_simpson(direction, s[1] - s[0])
     return SampledCurve(s, pts)
 
 
 def curvature(curve: SampledCurve):
     """Signed curvature samples from a curve: det(g', g'') / |g'|^3.
 
-    Central differences at interior nodes, one-sided second order at the
-    ends; positive sign for counterclockwise turning.  A sample with speed
-    below 1e-9 is refused.
+    Derivatives by :func:`~curverecon.geometry.derivatives`; positive sign for
+    counterclockwise turning.  A sample with speed below 1e-9 is refused.
     """
-    t, p = curve.params, curve.points
-    d1 = np.gradient(p, t, axis=0, edge_order=2)
-    steps = np.diff(t)
-    if p.shape[0] >= 4 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        # uniform grid: pure second differences, one-sided 4-point at the
-        # ends, instead of iterating np.gradient (which loses an order there)
-        h2 = steps[0] ** 2
-        d2 = np.empty_like(p)
-        d2[1:-1] = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / h2
-        d2[0] = (2.0 * p[0] - 5.0 * p[1] + 4.0 * p[2] - p[3]) / h2
-        d2[-1] = (2.0 * p[-1] - 5.0 * p[-2] + 4.0 * p[-3] - p[-4]) / h2
-    else:
-        d2 = np.gradient(d1, t, axis=0, edge_order=2)
+    t = curve.params
+    d1, d2 = derivatives(t, curve.points)
     speed = np.hypot(d1[:, 0], d1[:, 1])
     if speed.min() < 1e-9:
         bad = t[int(np.argmin(speed))]
@@ -197,7 +181,7 @@ def turning_number(curve: SampledCurve) -> int:
     gap = curve.endpoint_gap
     if gap > 1e-3:
         raise NotClosedError(f"endpoint gap {gap:.3e} exceeds tolerance 1.0e-03")
-    d1 = np.gradient(curve.points, curve.params, axis=0, edge_order=2)
+    d1, _ = derivatives(curve.params, curve.points)
     angles = np.unwrap(np.arctan2(d1[:, 1], d1[:, 0]))
     return round((angles[-1] - angles[0]) / TWO_PI)
 

@@ -1,4 +1,4 @@
-"""Planar group elements, arc-length resampling, norms, curve distances, registration.
+"""Planar group elements, arc-length resampling, finite differences, norms, curve distances, registration.
 
 The group elements are equi-affine maps: a unimodular linear part ``M`` plus a
 translation ``v``.  A rigid motion is an equi-affine map whose linear part is
@@ -21,6 +21,7 @@ __all__ = [
     "RigidMotion",
     "SampledCurve",
     "BoundReport",
+    "derivatives",
     "grid_distance",
     "hausdorff_distance",
     "normalize_to_standard_frame",
@@ -233,27 +234,26 @@ def grid_distance(c1: SampledCurve, c2: SampledCurve) -> float:
     return float(np.sqrt(np.einsum("nd,nd->n", d, d)).max())
 
 
-def _endpoint_derivatives(params: np.ndarray, points: np.ndarray):
-    """First and second derivative at params[0], one-sided, order >= 2."""
-    t = params
-    h = np.diff(t[: min(4, t.size)])
-    if t.size >= 4 and np.allclose(h, h[0], rtol=1e-9, atol=0.0):
-        hh = h[0]
-        p = points
-        d1 = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * hh)
-        d2 = (2.0 * p[0] - 5.0 * p[1] + 4.0 * p[2] - p[3]) / hh**2
-        return d1, d2
-    # non-uniform start: fit a cubic (or the highest degree available)
-    m = min(4, t.size)
-    deg = m - 1
-    ts = t[:m] - t[0]
-    cx = np.polyfit(ts, points[:m, 0], deg)
-    cy = np.polyfit(ts, points[:m, 1], deg)
-    d1 = np.array([np.polyder(cx)[-1], np.polyder(cy)[-1]])
-    if deg >= 2:
-        d2 = np.array([np.polyder(cx, 2)[-1], np.polyder(cy, 2)[-1]])
+def derivatives(params: np.ndarray, values: np.ndarray):
+    """First and second derivatives of samples ``values`` along axis 0 of ``params``.
+
+    The first comes from ``np.gradient`` (central inside, one-sided second
+    order at the ends).  On a uniform grid of at least 4 nodes the second is
+    the pure second difference, with one-sided 4-point stencils at the ends;
+    on any other grid it is ``np.gradient`` of the first.
+    """
+    t, v = params, np.asarray(values, dtype=float)
+    d1 = np.gradient(v, t, axis=0, edge_order=2)
+    steps = np.diff(t)
+    if v.shape[0] >= 4 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        # iterating np.gradient would lose an order at the ends
+        h2 = steps[0] ** 2
+        d2 = np.empty_like(v)
+        d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+        d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+        d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
     else:
-        d2 = np.zeros(2)
+        d2 = np.gradient(d1, t, axis=0, edge_order=2)
     return d1, d2
 
 
@@ -266,7 +266,7 @@ def normalize_to_standard_frame(curve: SampledCurve, mode: str = "euclidean"):
     (1,0) and normal row (0,1).  The curve is assumed to be arc-length
     parametrized in the stated mode.
     """
-    d1, d2 = _endpoint_derivatives(curve.params, curve.points)
+    d1, d2 = (d[0] for d in derivatives(curve.params[:4], curve.points[:4]))
     if mode == "euclidean":
         speed = float(np.hypot(*d1))
         if speed < 1e-9:

@@ -16,13 +16,13 @@ def odd_sample_count(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def probe(f, length: float, start: float = 0.0) -> np.ndarray:
-    """Values of ``f`` at 4097 uniform nodes of [start, start + length], as floats.
+def probe(f, length: float) -> np.ndarray:
+    """Values of ``f`` at 4097 uniform nodes of [0, length], as floats.
 
     Sizes a curvature before any grid is chosen: the sample counts, sweep
     counts and bounds built on it take its ``sup_norm``.
     """
-    return np.asarray(f(np.linspace(start, start + length, 4097)), dtype=float)
+    return np.asarray(f(np.linspace(0.0, length, 4097)), dtype=float)
 
 
 def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from curverecon import affine
 from curverecon.curvatures import parse_spec
 from curverecon.geometry import EquiAffineMap, SampledCurve, grid_distance, hausdorff_distance
+from curverecon.quadrature import cumulative_simpson
 
 PI = math.pi
 RNG = np.random.default_rng(11)
@@ -75,6 +77,18 @@ class TestCurvatureConversion:
         for c in (0.5, 2.0):
             _, mu = affine.curvature_from_euclidean(s, np.full_like(s, c))
             assert np.abs(mu - c ** (4.0 / 3.0)).max() < 1e-9
+
+    def test_sinusoid_matches_closed_form_at_every_node(self):
+        # mu(s) in closed form for kappa = 0.5 + 0.2 sin s, read at the s of each
+        # uniform affine arc-length node (alpha(s) from a 8x finer Simpson grid)
+        s = np.linspace(0.0, 3.0, 2049)
+        alpha, mu = affine.curvature_from_euclidean(s, 0.5 + 0.2 * np.sin(s))
+        fine = np.linspace(0.0, 3.0, 16385)
+        alpha_fine = cumulative_simpson(np.cbrt(0.5 + 0.2 * np.sin(fine)), fine[1] - fine[0])
+        t = CubicSpline(alpha_fine, fine)(alpha)
+        k, ks, kss = 0.5 + 0.2 * np.sin(t), 0.2 * np.cos(t), -0.2 * np.sin(t)
+        exact = (3.0 * k * (kss + 3.0 * k**3) - 5.0 * ks**2) / (9.0 * k ** (8.0 / 3.0))
+        assert np.abs(mu - exact).max() < 1e-6
 
     def test_ellipse_recovers_constant(self):
         # conic with mu=2 -> euclidean curvature samples -> back to mu; the
@@ -147,7 +161,7 @@ class TestPicard:
     def test_matches_closed_form_ellipse(self):
         curve, res = affine.picard(const(2.0), 4.0, tol=1e-10)
         oracle = affine.conic(2.0, 4.0, len(curve))
-        assert hausdorff_distance(curve, oracle) < 1e-8
+        assert grid_distance(curve, oracle) < 1e-8
 
     def test_tail_bound_honest_against_closed_form(self):
         for n in range(16):
@@ -174,10 +188,7 @@ class TestPicard:
             b, c = RNG.uniform(-1.0, 1.0, 2)
             m = np.array([[a, b], [c, (1.0 + b * c) / a]])
             g = EquiAffineMap(m, RNG.uniform(-2, 2, 2))
-            minv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-            moved, moved_res = affine.picard(
-                mu, 2.0, n_grid=2049, tol=1e-10, A0=minv, origin=g.apply(np.zeros(2))
-            )
+            moved, moved_res = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10, pose=g)
             tol = 10.0 * max(base_res.tail_bound, moved_res.tail_bound)
             assert np.abs(base_curve.transformed(g).points - moved.points).max() <= tol
 
@@ -187,8 +198,8 @@ class TestPicard:
         assert exc.value.best_bound > 0
 
     def test_non_unimodular_frame_rejected(self):
-        with pytest.raises(ValueError, match="unimodular"):
-            affine.picard(const(1.0), 1.0, A0=np.diag([2.0, 1.0]))
+        with pytest.raises(ValueError, match="determinant 1"):
+            affine.picard(const(1.0), 1.0, pose=EquiAffineMap(np.diag([2.0, 1.0]), np.zeros(2)))
 
 
 def _planned_sweeps(mu, grid, iterations):

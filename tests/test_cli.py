@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from curverecon import cli
 from curverecon.curveio import read_curve_csv, write_table_csv
-from curverecon.geometry import BoundReport, hausdorff_distance
+from curverecon.geometry import BoundReport, grid_distance, hausdorff_distance
 
 
 def run_cli(capsys, *argv):
@@ -57,7 +57,7 @@ class TestReconstruct:
         from curverecon import affine
 
         oracle = affine.conic(2.0, 4.0, summary["samples"])
-        assert hausdorff_distance(read_curve_csv(out), oracle) < 1e-8
+        assert grid_distance(read_curve_csv(out), oracle) < 1e-8
 
     def test_series_matches_picard_across_commands(self, tmp_path, capsys):
         a, b = tmp_path / "s.csv", tmp_path / "p.csv"
@@ -67,6 +67,24 @@ class TestReconstruct:
                               "--curvature", "monomial:1,1", "--domain", "0:3", "--out", str(b))
         assert code1 == 0 and code2 == 0
         assert hausdorff_distance(read_curve_csv(a), read_curve_csv(b)) <= 1e-6
+
+    def test_s_column_is_arc_length_from_the_domain_start(self, tmp_path, capsys):
+        columns = []
+        for mode in ("euclid", "affine"):
+            out = tmp_path / f"{mode}.csv"
+            code, _, _ = run_cli(capsys, "reconstruct", mode, "--curvature", "const:1",
+                                 "--domain", "1:3", "--samples", "1025", "--out", str(out))
+            assert code == 0
+            columns.append([row.split(",")[0] for row in out.read_text().splitlines()[1:]])
+        assert columns[0] == columns[1]
+        assert float(columns[0][0]) == 0.0 and float(columns[0][-1]) == 2.0
+
+    def test_one_ulp_domain_exits_0(self, capsys):
+        for mode in ("euclid", "affine"):
+            code, stdout, _ = run_cli(capsys, "reconstruct", mode, "--curvature", "const:1",
+                                      "--domain", "1:1.0000000000000002")
+            assert code == 0
+            assert json.loads(stdout)["length"] == 2.220446049250313e-16
 
     def test_svg_output_is_deterministic(self, tmp_path, capsys):
         args = ("reconstruct", "euclid", "--curvature", "kn:10", "--domain", "0:6.283185307")
@@ -94,7 +112,7 @@ class TestReconstruct:
         assert "solver error" in err
 
     def test_bad_domain_exits_2(self, capsys):
-        for domain in ("5:1", "0:inf", "-inf:0", "0:nan"):
+        for domain in ("5:1", "0:inf", "-inf:0", "0:nan", "0:5e-324"):
             code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
                                         "--curvature", "const:1", f"--domain={domain}")
             assert code == 2
@@ -376,6 +394,7 @@ def table_dir(tmp_path_factory):
 @example(argv=["reconstruct", "affine", "--curvature=const:1", "--domain=0:1", "--tol=5e-324"])
 @example(argv=["reconstruct", "euclid", "--curvature=const:1", "--domain=0:1", "--out=<dir>/missing/c.csv"])
 @example(argv=["compare", "affine", "const:1", "const:1.1", "--domain=0:1", "--norm=l1"])
+@example(argv=["compare", "affine", "const:1", "const:1", "--domain=0:5e-324"])
 def test_cli_exits_with_a_documented_code(table_dir, argv):
     """Any request over the grammar ends in an exit code from {0, 2, 3, 4}, never a traceback.
 

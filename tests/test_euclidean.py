@@ -33,7 +33,8 @@ class TestReconstruct:
         assert np.abs(speed - 1.0).max() < 1e-4
 
     def test_pose_sets_start_point_and_heading(self):
-        c = euclidean.reconstruct(parse_spec("const:0"), 1.0, 101, pose=((2.0, 3.0), PI / 2))
+        g = RigidMotion.from_angle(PI / 2, (2.0, 3.0))
+        c = euclidean.reconstruct(parse_spec("const:0"), 1.0, 101, pose=g)
         assert_allclose(c.points[0], [2.0, 3.0])
         assert_allclose(c.points[-1], [2.0, 4.0], atol=1e-14)
 
@@ -43,7 +44,7 @@ class TestReconstruct:
         for _ in range(5):
             ang = RNG.uniform(-PI, PI)
             g = RigidMotion.from_angle(ang, RNG.uniform(-2, 2, 2))
-            via_pose = euclidean.reconstruct(kappa, 2 * PI, 1025, pose=(g.apply(np.zeros(2)), ang))
+            via_pose = euclidean.reconstruct(kappa, 2 * PI, 1025, pose=g)
             assert np.abs(base.transformed(g).points - via_pose.points).max() < 1e-9
 
 
@@ -64,6 +65,12 @@ class TestCurvature:
         curve = SampledCurve(t, np.stack([np.cos(-t), np.sin(-t)], axis=1))
         _, k = euclidean.curvature(curve)
         assert np.abs(k + 1.0).max() < 1e-4
+
+    def test_circle_on_non_uniform_parameters(self):
+        u = np.linspace(0.0, 1.0, 2049)
+        t = 2 * PI * u + 0.3 * np.sin(2 * PI * u)
+        _, k = euclidean.curvature(SampledCurve(t, np.stack([np.cos(t), np.sin(t)], axis=1)))
+        assert np.abs(k - 1.0).max() < 1e-4
 
     def test_round_trip_against_spec(self):
         spec = parse_spec("sinusoid:1,0,0")

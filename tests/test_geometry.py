@@ -246,6 +246,18 @@ class TestNormalization:
             assert np.abs(comp.rotation - np.eye(2)).max() < 1e-6
             assert np.abs(comp.translation).max() < 1e-6
 
+    def test_recovers_inverse_on_non_uniform_parameters(self):
+        u = np.linspace(0.0, 1.0, 2049)
+        t = 2 * np.pi * u + 0.3 * np.sin(2 * np.pi * u)
+        base = SampledCurve(t, np.stack([np.sin(t), 1.0 - np.cos(t)], axis=1))
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            g = random_rigid(rng)
+            _, h = normalize_to_standard_frame(base.transformed(g), "euclidean")
+            comp = h.compose(g)
+            assert np.abs(comp.rotation - np.eye(2)).max() < 1e-6
+            assert np.abs(comp.translation).max() < 1e-6
+
     def test_affine_mode_recovers_inverse(self):
         a = np.linspace(0, 2, 1025)
         parab = SampledCurve(a, np.stack([a, 0.5 * a**2], axis=1))
