@@ -10,14 +10,14 @@ solver.
 
 import numpy as np
 
-from curverecon import affine, hausdorff_distance, series
+from curverecon import affine, hausdorff_distance, parse_spec, series
 
 # series curve vs fixed-point solver
 for k in (1, 2):
-    ms = series.MonomialSeries(1.0, k)
-    sc = series.curve(ms, 3.0, 4097)
-    pc, result = affine.picard(lambda a, kk=k: np.asarray(a, float) ** kk, 3.0, tol=1e-10)
-    print(f"mu = alpha^{k}: series terms={series.truncation_count(ms, 3.0)} "
+    mu = parse_spec(f"monomial:1,{k}")
+    sc = series.curve(mu, 3.0, 4097)
+    pc, result = affine.picard(mu, 3.0, tol=1e-10)
+    print(f"mu = alpha^{k}: series terms={series.truncation_count(mu, 3.0)} "
           f"distance-to-solver={hausdorff_distance(sc, pc):.2e}")
 
 # coefficient factors: direct product vs gamma-function form

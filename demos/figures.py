@@ -69,7 +69,7 @@ def picard_loop(outdir: Path):
 def monomial_series(outdir: Path):
     """Power-series curves for affine curvature alpha and alpha^2."""
     for k in (1, 2):
-        curve = series.curve(series.MonomialSeries(1.0, k), 3.0, 4097)
+        curve = series.curve(parse_spec(f"monomial:1,{k}"), 3.0, 4097)
         emit_svg(
             ((curve, f"mu = alpha^{k}"),),
             outdir / f"monomial_series_k{k}.svg",

@@ -170,11 +170,15 @@ def _log_tail(c: float, length: float, n: int, a0_norm: float) -> float:
     return math.log(a0_norm) + x + (n + 1) * math.log(x) - math.lgamma(n + 2)
 
 
-def _tail_bound(c: float, length: float, n: int, a0_norm: float) -> float:
+def _exp_or_inf(x: float) -> float:
     try:
-        return math.exp(_log_tail(c, length, n, a0_norm))
+        return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _tail_bound(c: float, length: float, n: int, a0_norm: float) -> float:
+    return _exp_or_inf(_log_tail(c, length, n, a0_norm))
 
 
 def _iterations_for_tol(c: float, length: float, tol: float, a0_norm: float) -> int:
@@ -296,7 +300,8 @@ def picard_bounds(c: float, alpha: float, n: int, a0_norm: float = 1.0) -> dict:
 
     Keys: ``bound_n`` (n-th iterate size), ``bound_a`` (limit size),
     ``bound_step`` (gap between consecutive iterates), ``bound_tail``
-    (gap between the n-th iterate and the limit).
+    (gap between the n-th iterate and the limit).  A bound past double
+    range is ``inf``.
     """
     if c < 1.0 or alpha < 0.0 or n < 0:
         raise ValueError("need c >= 1, alpha >= 0, n >= 0")
@@ -310,11 +315,11 @@ def picard_bounds(c: float, alpha: float, n: int, a0_norm: float = 1.0) -> dict:
         }
     log_terms = [i * math.log(x) - math.lgamma(i + 1) for i in range(n + 1)]
     peak = max(log_terms)
-    partial = a0_norm * math.exp(peak) * math.fsum(math.exp(t - peak) for t in log_terms)
-    step = a0_norm * math.exp(n * math.log(x) - math.lgamma(n + 1))
+    partial = a0_norm * _exp_or_inf(peak) * math.fsum(math.exp(t - peak) for t in log_terms)
+    step = a0_norm * _exp_or_inf(n * math.log(x) - math.lgamma(n + 1))
     return {
         "bound_n": partial,
-        "bound_a": a0_norm * math.exp(x),
+        "bound_a": a0_norm * _exp_or_inf(x),
         "bound_step": step,
         "bound_tail": _tail_bound(c, alpha, n, a0_norm),
     }

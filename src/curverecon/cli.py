@@ -6,6 +6,7 @@ failure, 4 certified bound violated (a regression tripwire for CI).
 
 import argparse
 import math
+import re
 import sys
 
 from . import affine, euclidean, series
@@ -86,15 +87,22 @@ def _shifted(spec, offset: float):
     return lambda t: spec(offset + t)
 
 
+# the reconstruct flags a mode does not read: refused, so none is dropped without a word
+_UNREAD = {"euclid": ("iterations", "tol"), "affine": (), "series": ("iterations",)}
+
+
 def _cmd_reconstruct(args) -> int:
+    for flag in _UNREAD[args.mode]:
+        if getattr(args, flag) is not None:
+            raise _UsageError(f"--{flag} is not read in {args.mode} mode")
     spec = parse_spec_cli(args.curvature)
     a, b = _parse_domain(args.domain)
     length = b - a
     if args.samples is not None and args.samples < 16:
         raise _UsageError("--samples must be at least 16")
-    if args.mode == "affine" and args.iterations is not None and args.iterations < 0:
+    if args.iterations is not None and args.iterations < 0:
         raise _UsageError(f"--iterations must be at least 0, got {args.iterations}")
-    if args.mode != "euclid" and args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         raise _UsageError(f"--tol must be a positive finite number, got {args.tol!r}")
 
     if args.mode == "euclid":
@@ -110,9 +118,9 @@ def _cmd_reconstruct(args) -> int:
             raise _UsageError("series mode needs a 'monomial:<c>,<k>' curvature")
         if a != 0.0:
             raise _UsageError("series mode integrates from 0; use a domain '0:<b>'")
-        ms = series.MonomialSeries(float(spec.c), spec.k, term_tol=args.tol or 1e-14)
-        curve = series.curve(ms, length, args.samples or 4097)
-        extras = {"terms": series.truncation_count(ms, length)}
+        tol = args.tol or 1e-14
+        curve = series.curve(spec, length, args.samples or 4097, tol)
+        extras = {"terms": series.truncation_count(spec, length, tol)}
     try:
         if args.out:
             write_curve_csv(curve, args.out)
@@ -149,8 +157,22 @@ def _cmd_compare(args) -> int:
     return EXIT_OK if report.satisfied else EXIT_BOUND
 
 
+def _join_negative_domain(argv):
+    """``--domain -1:1`` as ``--domain=-1:1``: argparse would take a value starting with '-' for a flag.
+
+    An abbreviation that argparse accepts for ``--domain`` (``--dom``) is joined too.
+    """
+    out = []
+    for arg in argv:
+        if out and len(out[-1]) > 2 and "--domain".startswith(out[-1]) and re.match(r"-[\d.]", arg):
+            out[-1] = f"--domain={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_domain(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "reconstruct":
             return _cmd_reconstruct(args)

@@ -79,24 +79,12 @@ class CurvatureSpec:
     def __call__(self, t):
         raise NotImplementedError
 
-    def to_string(self) -> str:
-        raise NotImplementedError
-
     def turning_ratio(self, period: float) -> Fraction | float | None:
         """(1/2pi) * integral of the curvature over [0, period], computed as (mean * period) / 2pi.
 
         A ``Fraction`` when exact, a float when in closed form, ``None`` when quadrature is needed.
         """
         return None
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.to_string()!r})"
-
-
-def _fmt_number(x: Number) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return repr(float(x))
 
 
 def _is_natural_period(period: float, natural: float) -> bool:
@@ -111,9 +99,6 @@ class ConstantCurvature(CurvatureSpec):
         t = np.asarray(t, dtype=float)
         v = np.full_like(t, float(self.value))
         return v if v.ndim else float(v)
-
-    def to_string(self):
-        return f"const:{_fmt_number(self.value)}"
 
     def turning_ratio(self, period):
         return float(self.value) * period / TWO_PI
@@ -131,9 +116,6 @@ class SinusoidCurvature(CurvatureSpec):
         t = np.asarray(t, dtype=float)
         v = float(self.a) * np.sin(t) + float(self.b) * np.cos(t) + float(self.c)
         return v if v.ndim else float(v)
-
-    def to_string(self):
-        return f"sinusoid:{_fmt_number(self.a)},{_fmt_number(self.b)},{_fmt_number(self.c)}"
 
     def turning_ratio(self, period):
         if not _is_natural_period(period, TWO_PI):
@@ -160,9 +142,6 @@ class SinePlusBump(CurvatureSpec):
         v = np.asarray(np.sin(t) + (TWO_PI / float(self.r)) * bump(np.mod(t, TWO_PI)))
         return v if v.ndim else float(v)
 
-    def to_string(self):
-        return f"kn:{_fmt_number(self.r)}"
-
     def turning_ratio(self, period):
         if _is_natural_period(period, TWO_PI):
             return Fraction(self.r.denominator, self.r.numerator)
@@ -180,9 +159,6 @@ class BumpPlusOneSquared(CurvatureSpec):
         v = np.asarray((float(self.r) * pi) ** 2 * (bump(np.mod(t, 2.0)) + 1.0) ** 2)
         return v if v.ndim else float(v)
 
-    def to_string(self):
-        return f"mun:{_fmt_number(self.r)}"
-
 
 @dataclass(frozen=True)
 class MonomialCurvature(CurvatureSpec):
@@ -192,16 +168,13 @@ class MonomialCurvature(CurvatureSpec):
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
+        if self.k < 0 or int(self.k) != self.k:
             raise ValueError("monomial exponent must be a non-negative integer")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         v = float(self.c) * t**self.k
         return v if v.ndim else float(v)
-
-    def to_string(self):
-        return f"monomial:{_fmt_number(self.c)},{self.k}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +184,6 @@ class TableCurvature(CurvatureSpec):
     grid: np.ndarray
     values: np.ndarray
     periodic: bool = False
-    source_path: str | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float).reshape(-1)
@@ -222,14 +194,6 @@ class TableCurvature(CurvatureSpec):
             raise ValueError("table grid must be strictly increasing")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TableCurvature)
-            and np.array_equal(self.grid, other.grid)
-            and np.array_equal(self.values, other.values)
-            and self.periodic == other.periodic
-        )
 
     def turning_ratio(self, period):
         span = float(self.grid[-1] - self.grid[0])
@@ -251,10 +215,6 @@ class TableCurvature(CurvatureSpec):
             u = np.clip(t, lo, hi)
         v = np.asarray(np.interp(u, self.grid, self.values), dtype=float)
         return v if v.ndim else float(v)
-
-    def to_string(self):
-        path = self.source_path if self.source_path else "<memory>"
-        return f"table:{path},periodic" if self.periodic else f"table:{path}"
 
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -347,7 +307,7 @@ def parse_spec(text: str) -> CurvatureSpec:
         from .curveio import read_table_csv
 
         grid, values = read_table_csv(path)
-        return TableCurvature(grid, values, periodic=periodic, source_path=path)
+        return TableCurvature(grid, values, periodic=periodic)
     raise SpecParseError(f"unknown kind {kind!r}", 0)
 
 

@@ -95,10 +95,6 @@ class RigidMotion(EquiAffineMap):
         return cls(rotation_matrix(theta), np.asarray(translation, dtype=float))
 
     @property
-    def rotation(self) -> np.ndarray:
-        return self.linear
-
-    @property
     def angle(self) -> float:
         return float(np.arctan2(self.linear[1, 0], self.linear[0, 0]))
 

@@ -9,15 +9,14 @@ as an independent cross-check.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .affine import GRID_CAP
+from .curvatures import MonomialCurvature
 from .geometry import SampledCurve
 
 __all__ = [
-    "MonomialSeries",
     "SeriesTruncationError",
     "b_coefficients",
     "curve",
@@ -34,61 +33,46 @@ class SeriesTruncationError(RuntimeError):
     """Requested term tolerance unreachable within the term cap."""
 
 
-@dataclass(frozen=True)
-class MonomialSeries:
-    """Series data for affine curvature c * alpha^k from the canonical frame T0 = (1, 0), N0 = (0, 1)."""
+def truncation_count(mu: MonomialCurvature, alpha_max: float, tol: float = 1e-14) -> int:
+    """Number of retained block terms so the next term bound is below ``tol``.
 
-    c: float
-    k: int
-    term_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.k < 0 or int(self.k) != self.k:
-            raise ValueError("exponent k must be a non-negative integer")
-
-    @property
-    def K(self) -> int:
-        return self.k + 2
-
-
-def truncation_count(ms: MonomialSeries, alpha_max: float) -> int:
-    """Number of retained block terms so the next term bound is below tol.
-
-    The i-th block term is bounded by |c|^i * a^(K i + 1) / (i! K^(2 i)); the
-    count is the first index past the bound's peak where it drops below
-    ``term_tol``.
+    With K = k + 2, the i-th block term is bounded by
+    |c|^i * a^(K i + 1) / (i! K^(2 i)); the count is the first index past the
+    bound's peak where it drops below ``tol``.
     """
     a = abs(float(alpha_max))
-    if ms.c == 0.0 or a == 0.0:
+    c = float(mu.c)
+    if c == 0.0 or a == 0.0:
         return 0
-    K = ms.K
-    log_c, log_a = math.log(abs(ms.c)), math.log(a)
-    peak = abs(ms.c) * a**K / K**2 if (K * log_a + log_c) < 700 else math.inf
-    log_tol = math.log(ms.term_tol)
+    K = mu.k + 2
+    log_c, log_a = math.log(abs(c)), math.log(a)
+    peak = abs(c) * a**K / K**2 if (K * log_a + log_c) < 700 else math.inf
+    log_tol = math.log(tol)
     for i in range(1, TERM_CAP + 1):
         log_term = i * log_c + (K * i + 1) * log_a - math.lgamma(i + 1) - 2 * i * math.log(K)
         if log_term < log_tol and i >= peak:
             return i
     raise SeriesTruncationError(
-        f"term tolerance {ms.term_tol:.1e} unreachable within {TERM_CAP} terms at alpha={a!r}"
+        f"term tolerance {tol:.1e} unreachable within {TERM_CAP} terms at alpha={a!r}"
     )
 
 
-def tangent_coefficients(ms: MonomialSeries, alpha_max: float):
+def tangent_coefficients(mu: MonomialCurvature, alpha_max: float, tol: float = 1e-14):
     """Scalar coefficient ladders (u_i, v_i) of the two surviving power lines.
 
     u_i multiplies T0 * alpha^(K i), v_i multiplies N0 * alpha^(K i + 1);
     both start at 1 and follow u_i = -c u_(i-1) / (K i (K i - 1)) and
     v_i = -c v_(i-1) / (K i (K i + 1)).
     """
-    m = truncation_count(ms, alpha_max)
-    K = ms.K
+    m = truncation_count(mu, alpha_max, tol)
+    K = mu.k + 2
+    c = float(mu.c)
     u = np.empty(m + 1)
     v = np.empty(m + 1)
     u[0] = v[0] = 1.0
     for i in range(1, m + 1):
-        u[i] = -ms.c * u[i - 1] / ((K * i) * (K * i - 1))
-        v[i] = -ms.c * v[i - 1] / ((K * i) * (K * i + 1))
+        u[i] = -c * u[i - 1] / ((K * i) * (K * i - 1))
+        v[i] = -c * v[i - 1] / ((K * i) * (K * i + 1))
     return u, v
 
 
@@ -102,23 +86,24 @@ def _eval_lines(alpha, K, coeffs, shift):
     return acc * a**shift
 
 
-def tangent(ms: MonomialSeries, alpha):
-    """Affine tangent T(alpha) of the monomial-curvature curve (truncated series)."""
+def tangent(mu: MonomialCurvature, alpha):
+    """Affine tangent T(alpha) from T(0) = (1, 0), T'(0) = (0, 1) (truncated series)."""
     a = np.asarray(alpha, dtype=float)
-    u, v = tangent_coefficients(ms, float(np.abs(a).max()))
-    out = np.stack([_eval_lines(a, ms.K, u, 0), _eval_lines(a, ms.K, v, 1)], axis=-1)
+    u, v = tangent_coefficients(mu, float(np.abs(a).max()))
+    K = mu.k + 2
+    out = np.stack([_eval_lines(a, K, u, 0), _eval_lines(a, K, v, 1)], axis=-1)
     return out if a.ndim else out.reshape(2)
 
 
-def curve(ms: MonomialSeries, length: float, n: int) -> SampledCurve:
+def curve(mu: MonomialCurvature, length: float, n: int, tol: float = 1e-14) -> SampledCurve:
     """Curve from termwise integration of the tangent series, origin (0,0), n <= affine.GRID_CAP."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     if n > GRID_CAP:
         raise ValueError(f"{n} samples exceed the cap of {GRID_CAP}")
     a = np.linspace(0.0, length, n)
-    u, v = tangent_coefficients(ms, length)
-    K = ms.K
+    u, v = tangent_coefficients(mu, length, tol)
+    K = mu.k + 2
     # float aranges: an exponent K beyond int64 would overflow an integer product
     iu = u / (K * np.arange(u.size, dtype=float) + 1.0)
     iv = v / (K * np.arange(v.size, dtype=float) + 2.0)

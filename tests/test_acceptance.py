@@ -134,8 +134,9 @@ def test_c07_affine_estimate():
 def test_c08_power_series():
     with Stopwatch(5.0):
         for k in (1, 2):
-            pc, _ = affine.picard(parse_spec(f"monomial:1,{k}"), 3.0, tol=1e-10)
-            sc = series.curve(series.MonomialSeries(1.0, k), 3.0, len(pc))
+            mu = parse_spec(f"monomial:1,{k}")
+            pc, _ = affine.picard(mu, 3.0, tol=1e-10)
+            sc = series.curve(mu, 3.0, len(pc))
             assert hausdorff_distance(sc, pc) <= 1e-6
         for K in range(2, 9):
             for i in range(1, 21):

@@ -272,6 +272,19 @@ class TestPicardBounds:
         assert math.isfinite(b["bound_step"])
         assert b["bound_tail"] > 0
 
+    @pytest.mark.parametrize("c, alpha, n", [(1000.0, 10.0, 5), (2.0, 400.0, 3)])
+    def test_overflowing_parts_are_inf(self, c, alpha, n):
+        # e^(c alpha) is past double range; the partial sum and the step are not
+        b = affine.picard_bounds(c, alpha, n)
+        assert b["bound_a"] == math.inf and b["bound_tail"] == math.inf
+        x = c * alpha
+        assert b["bound_n"] == pytest.approx(math.fsum(x**i / math.factorial(i) for i in range(n + 1)))
+        assert b["bound_step"] == pytest.approx(x**n / math.factorial(n))
+
+    def test_overflowing_peak_is_inf(self):
+        b = affine.picard_bounds(1000.0, 10.0, 5000)
+        assert b == dict.fromkeys(("bound_n", "bound_a", "bound_step", "bound_tail"), math.inf)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             affine.picard_bounds(0.5, 1.0, 1)

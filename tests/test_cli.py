@@ -86,6 +86,39 @@ class TestReconstruct:
             assert code == 0
             assert json.loads(stdout)["length"] == 2.220446049250313e-16
 
+    @pytest.mark.parametrize("argv", [
+        ("reconstruct", "euclid", "--curvature", "const:1"),
+        ("compare", "euclid", "const:1", "const:1.01"),
+    ], ids=["reconstruct", "compare"])
+    @pytest.mark.parametrize("domain", ["-1:1", "-.5:1"])
+    def test_spaced_negative_domain_matches_equals_form(self, capsys, argv, domain):
+        spaced = run_cli(capsys, *argv, "--domain", domain)
+        joined = run_cli(capsys, *argv, f"--domain={domain}")
+        assert spaced == joined
+        assert run_cli(capsys, *argv, "--dom", domain) == joined
+        assert spaced[0] == 0 and json.loads(spaced[1])
+
+    def test_spaced_non_number_domain_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reconstruct", "euclid", "--curvature", "const:1", "--domain", "-x:1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert any("error:" in line for line in captured.err.splitlines())
+
+    @pytest.mark.parametrize("flags", [
+        ("euclid", "--tol", "1e-3"),
+        ("euclid", "--iterations", "5"),
+        ("series", "--iterations", "5"),
+    ])
+    def test_flag_the_mode_does_not_read_exits_2(self, capsys, flags):
+        mode, flag, value = flags
+        code, stdout, err = run_cli(capsys, "reconstruct", mode, "--curvature", "monomial:1,1",
+                                    "--domain", "0:1", flag, value)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and flag in err and mode in err
+
     def test_svg_output_is_deterministic(self, tmp_path, capsys):
         args = ("reconstruct", "euclid", "--curvature", "kn:10", "--domain", "0:6.283185307")
         run_cli(capsys, *args, "--svg", str(tmp_path / "a.svg"))
@@ -361,12 +394,14 @@ def _cli_argv(draw):
     if command == "classify":
         period = draw(st.one_of(st.floats(1e-3, 7).map(repr), st.sampled_from(["0", "-1", "nan"])))
         return ["classify", f"--curvature={draw(_SPEC)}", f"--period={period}"]
-    domain = f"--domain={draw(_DOMAIN)}"
+    domain = draw(_DOMAIN)
+    # both spellings: '--domain=-1:1' and '--domain -1:1'
+    domain = draw(st.sampled_from([[f"--domain={domain}"], ["--domain", domain]]))
     if command.startswith("compare"):
-        argv = ["compare", command.split()[1], draw(_SPEC), draw(_SPEC), domain]
+        argv = ["compare", command.split()[1], draw(_SPEC), draw(_SPEC), *domain]
         norm = draw(st.none() | st.sampled_from(["linf", "l1"]))
         return argv if norm is None else argv + [f"--norm={norm}"]
-    argv = ["reconstruct", command, f"--curvature={draw(_SPEC)}", domain]
+    argv = ["reconstruct", command, f"--curvature={draw(_SPEC)}", *domain]
     for flag, values in (
         ("--samples", st.integers(8, 4097)),
         ("--iterations", st.integers(-1, 50)),
@@ -395,6 +430,8 @@ def table_dir(tmp_path_factory):
 @example(argv=["reconstruct", "euclid", "--curvature=const:1", "--domain=0:1", "--out=<dir>/missing/c.csv"])
 @example(argv=["compare", "affine", "const:1", "const:1.1", "--domain=0:1", "--norm=l1"])
 @example(argv=["compare", "affine", "const:1", "const:1", "--domain=0:5e-324"])
+@example(argv=["reconstruct", "euclid", "--curvature=const:1", "--domain", "-1:1"])
+@example(argv=["reconstruct", "euclid", "--curvature=const:1", "--domain=0:1", "--tol=1e-3"])
 def test_cli_exits_with_a_documented_code(table_dir, argv):
     """Any request over the grammar ends in an exit code from {0, 2, 3, 4}, never a traceback.
 

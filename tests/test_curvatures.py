@@ -91,6 +91,11 @@ class TestParsing:
         with pytest.raises(SpecParseError):
             parse_spec("monomial:1,-2")
 
+    @pytest.mark.parametrize("k", [1.5, -1])
+    def test_monomial_exponent_must_be_a_non_negative_integer(self, k):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            MonomialCurvature(1.0, k)
+
     def test_error_offsets_point_at_argument(self):
         with pytest.raises(SpecParseError) as exc:
             parse_spec("sinusoid:1,xx,3")
@@ -112,14 +117,6 @@ class TestParsing:
 
     def test_cli_alias(self):
         assert parse_spec_cli("sin") == SinusoidCurvature(Fraction(1), Fraction(0), Fraction(0))
-
-    @pytest.mark.parametrize(
-        "text",
-        ["const:0", "const:-1.5", "sinusoid:1,1,1/3", "kn:5/3", "kn:10", "mun:2/5", "monomial:1,1", "monomial:0.5,3"],
-    )
-    def test_parse_print_round_trip(self, text):
-        spec = parse_spec(text)
-        assert parse_spec(spec.to_string()) == spec
 
 
 class TestEvaluation:

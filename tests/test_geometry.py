@@ -40,7 +40,7 @@ class TestGroupLaws:
     def test_quarter_turns_compose_to_half_turn(self):
         g = RigidMotion.from_angle(np.pi / 2)
         gg = g.compose(g)
-        assert_allclose(gg.rotation, rotation_matrix(np.pi), atol=1e-15)
+        assert_allclose(gg.linear, rotation_matrix(np.pi), atol=1e-15)
         assert_allclose(gg.translation, 0.0, atol=1e-15)
 
     def test_translations_add(self):
@@ -73,7 +73,6 @@ class TestGroupLaws:
     def test_rigid_motion_is_an_equi_affine_map(self):
         g = random_rigid(np.random.default_rng(1))
         assert isinstance(g, EquiAffineMap)
-        assert g.rotation is g.linear
 
     def test_only_rigid_products_stay_rigid(self):
         rng = np.random.default_rng(2)  # own stream: the module RNG feeds later tests
@@ -223,7 +222,7 @@ class TestNormalization:
         t = np.linspace(0, 1, 101)
         line = SampledCurve(t, np.stack([t, np.zeros_like(t)], axis=1))
         normed, g = normalize_to_standard_frame(line, "euclidean")
-        assert_allclose(g.rotation, np.eye(2), atol=1e-9)
+        assert_allclose(g.linear, np.eye(2), atol=1e-9)
         assert_allclose(g.translation, 0.0, atol=1e-9)
         assert_allclose(normed.points, line.points, atol=1e-9)
 
@@ -243,7 +242,7 @@ class TestNormalization:
             g = random_rigid(RNG)
             _, h = normalize_to_standard_frame(base.transformed(g), "euclidean")
             comp = h.compose(g)
-            assert np.abs(comp.rotation - np.eye(2)).max() < 1e-6
+            assert np.abs(comp.linear - np.eye(2)).max() < 1e-6
             assert np.abs(comp.translation).max() < 1e-6
 
     def test_recovers_inverse_on_non_uniform_parameters(self):
@@ -255,7 +254,7 @@ class TestNormalization:
             g = random_rigid(rng)
             _, h = normalize_to_standard_frame(base.transformed(g), "euclidean")
             comp = h.compose(g)
-            assert np.abs(comp.rotation - np.eye(2)).max() < 1e-6
+            assert np.abs(comp.linear - np.eye(2)).max() < 1e-6
             assert np.abs(comp.translation).max() < 1e-6
 
     def test_affine_mode_recovers_inverse(self):

@@ -1,14 +1,17 @@
-"""Pinned SHA-256 digests of the gallery SVGs and of CLI SVG/CSV output.
+"""Pinned SHA-256 digests of the gallery SVGs, of CLI SVG/CSV output and of the demos' stdout.
 
 c10 checks that two runs of the same code agree; this checks that the bytes
 do not change from one version of the code to the next.  A digest that moves
 means a figure or an output file changed: regenerate it on purpose, look at
-the difference, and update the digest in the same change (``gallery_digests``
-and ``cli_digests`` return the current ones).
+the difference, and update the digest in the same change (``gallery_digests``,
+``cli_digests`` and ``demo_digests`` return the current ones).
 """
 
+import contextlib
 import hashlib
+import io
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +40,14 @@ CLI_OUTPUTS = [
      "--out", "7468f057796a17a377ad853f129f805cb175424a61774046571601f65fa283fc"),
 ]
 
+DEMOS = {
+    "01_euclidean_reconstruction.py": "296dac5d8f49b4cc66ae66e43798877283a6ac6644b2e8c165de58d8d9e22c93",
+    "02_closedness.py": "afb3b12ac3cdcad47617fcf116df86ec3c9e8cabf7760579e996af822c962319",
+    "03_distance_bounds.py": "2a70208e81061201ded1feca5f11c80187d3a23976658baf5fde9c198c8499ce",
+    "04_affine_reconstruction.py": "aeafefbc0b8fba1eb212c023d5a88ab6d15abe43d2659054fb0949e501e38a22",
+    "05_monomial_series.py": "cd96fbca06076448f62025622d4c1fb816da025ec78785491bb333148deeecdb",
+}
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -61,9 +72,24 @@ def cli_digests(outdir: Path) -> list:
     return digests
 
 
+def demo_digests() -> dict:
+    """Each demo run in this interpreter, as its own ``__main__``; digests of the stdout it prints."""
+    digests = {}
+    for path in sorted((REPO / "demos").glob("[0-9]*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(path), run_name="__main__")
+        digests[path.name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digests
+
+
 def test_gallery_svgs_are_golden(tmp_path):
     assert gallery_digests(tmp_path) == GALLERY
 
 
 def test_cli_outputs_are_golden(tmp_path):
     assert cli_digests(tmp_path) == [digest for _, _, digest in CLI_OUTPUTS]
+
+
+def test_demo_stdout_is_golden():
+    assert demo_digests() == DEMOS

@@ -5,14 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curverecon import affine, series
+from curverecon.curvatures import MonomialCurvature
 from curverecon.geometry import hausdorff_distance
 
 
 class TestTangent:
     def test_vanishing_coefficient_gives_linear_tangent(self):
-        ms = series.MonomialSeries(0.0, 3)
+        spec = MonomialCurvature(0.0, 3)
         a = np.linspace(0.0, 5.0, 21)
-        t = series.tangent(ms, a)
+        t = series.tangent(spec, a)
         assert_allclose(t[:, 0], 1.0, atol=0.0)
         assert_allclose(t[:, 1], a, atol=0.0)
 
@@ -21,33 +22,33 @@ class TestTangent:
         # the closed-form ellipse
         mu = 2.0
         w = math.sqrt(mu)
-        ms = series.MonomialSeries(mu, 0)
+        spec = MonomialCurvature(mu, 0)
         a = np.linspace(0.0, 3.0, 301)
-        t = series.tangent(ms, a)
+        t = series.tangent(spec, a)
         assert np.abs(t[:, 0] - np.cos(w * a)).max() < 1e-10
         assert np.abs(t[:, 1] - np.sin(w * a) / w).max() < 1e-10
 
     def test_constant_negative_matches_hyperbolic_form(self):
         mu = -3.0
         lam = math.sqrt(-mu)
-        ms = series.MonomialSeries(mu, 0)
+        spec = MonomialCurvature(mu, 0)
         a = np.linspace(0.0, 2.0, 201)
-        t = series.tangent(ms, a)
+        t = series.tangent(spec, a)
         assert np.abs(t[:, 0] - np.cosh(lam * a)).max() < 1e-9
         assert np.abs(t[:, 1] - np.sinh(lam * a) / lam).max() < 1e-9
 
     def test_matches_iterative_frame_row(self):
-        ms = series.MonomialSeries(1.0, 1)
+        spec = MonomialCurvature(1.0, 1)
         _, res = affine.picard(lambda a: np.asarray(a, dtype=float), 1.0, tol=1e-12)
-        t_series = series.tangent(ms, res.grid)
+        t_series = series.tangent(spec, res.grid)
         gap = np.abs(t_series - res.frames[:, 0, :]).max()
         assert gap <= 1e-9
 
     def test_ode_residual(self):
         # T'' + c a^k T should vanish up to finite differencing error
-        ms = series.MonomialSeries(1.0, 2)
+        spec = MonomialCurvature(1.0, 2)
         a = np.linspace(0.0, 2.0, 4097)
-        t = series.tangent(ms, a)
+        t = series.tangent(spec, a)
         d2 = np.gradient(np.gradient(t, a, axis=0, edge_order=2), a, axis=0, edge_order=2)
         residual = d2 + (a**2)[:, None] * t
         assert np.abs(residual[4:-4]).max() < 1e-4
@@ -55,14 +56,14 @@ class TestTangent:
 
 class TestCurve:
     def test_zero_coefficient_gives_parabola(self):
-        c = series.curve(series.MonomialSeries(0.0, 1), 2.0, 101)
+        c = series.curve(MonomialCurvature(0.0, 1), 2.0, 101)
         assert_allclose(c.points[:, 0], c.params, atol=0.0)
         assert_allclose(c.points[:, 1], 0.5 * c.params**2, atol=0.0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_iterative_solver(self, k):
         pc, _ = affine.picard(lambda a, kk=k: np.asarray(a, dtype=float) ** kk, 3.0, tol=1e-10)
-        sc = series.curve(series.MonomialSeries(1.0, k), 3.0, len(pc))
+        sc = series.curve(MonomialCurvature(1.0, k), 3.0, len(pc))
         assert hausdorff_distance(sc, pc) <= 1e-6
 
 
@@ -94,21 +95,19 @@ class TestCoefficients:
                 assert abs(b[K * i + 1][1] - expect_v) <= 1e-10 * abs(expect_v) + 1e-300
 
     def test_terms_eventually_decrease(self):
-        ms = series.MonomialSeries(3.0, 1, term_tol=1e-14)
-        u, v = series.tangent_coefficients(ms, 2.5)
+        u, v = series.tangent_coefficients(MonomialCurvature(3.0, 1), 2.5, tol=1e-14)
         mags = np.abs(u) * 2.5 ** (3 * np.arange(u.size))
         tail = mags[np.argmax(mags):]
         assert np.all(np.diff(tail) < 0.0)
 
     def test_truncation_count_examples(self):
-        assert series.truncation_count(series.MonomialSeries(0.0, 1), 10.0) == 0
-        assert series.truncation_count(series.MonomialSeries(1.0, 1), 0.0) == 0
-        assert series.truncation_count(series.MonomialSeries(1.0, 1), 3.0) > 5
+        assert series.truncation_count(MonomialCurvature(0.0, 1), 10.0) == 0
+        assert series.truncation_count(MonomialCurvature(1.0, 1), 0.0) == 0
+        assert series.truncation_count(MonomialCurvature(1.0, 1), 3.0) > 5
 
     def test_unreachable_tolerance_raises(self):
-        ms = series.MonomialSeries(1.0, 0, term_tol=1e-14)
         with pytest.raises(series.SeriesTruncationError):
-            series.truncation_count(ms, 500.0)
+            series.truncation_count(MonomialCurvature(1.0, 0), 500.0, tol=1e-14)
 
 
 class TestGammaRatio:
