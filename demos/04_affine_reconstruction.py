@@ -28,8 +28,8 @@ for mu in (-3.0, 0.0, 2.0):
 # the iteration bounds in action: against the exact mu=1 frames
 print("\nsweep-by-sweep gap to the exact frames (mu=1 on [0,1]):")
 for n in (2, 5, 10, 15):
-    _, result = affine.picard(parse_spec("const:1"), 1.0, n_grid=4097, iterations=n)
-    exact = affine.conic_frames(1.0, result.grid)
+    curve, result = affine.picard(parse_spec("const:1"), 1.0, n_grid=4097, iterations=n)
+    exact = affine.conic_frames(1.0, curve.params)
     gap = np.abs(result.frames - exact).max()
     budget = affine.picard_bounds(1.0, 1.0, n)["bound_tail"]
     print(f"  n={n:2d}: measured={gap:.3e} <= certified {budget:.3e}")

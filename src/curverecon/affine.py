@@ -37,7 +37,7 @@ GRID_CAP = 300_001
 WORK_CAP = 50_000_000
 
 
-class PicardConvergenceError(RuntimeError):
+class PicardConvergenceError(ValueError):
     """Tail tolerance unreachable within the iteration cap."""
 
     def __init__(self, message: str, best_bound: float):
@@ -107,15 +107,10 @@ def conic(mu: float, length: float, n: int) -> SampledCurve:
     if n < 2:
         raise ValueError("need at least 2 samples")
     a = np.linspace(0.0, length, n)
-    if mu == 0.0:
-        pts = np.stack([a, 0.5 * a**2], axis=1)
-    elif mu > 0.0:
-        w = math.sqrt(mu)
-        pts = np.stack([np.sin(w * a) / w, (1.0 - np.cos(w * a)) / mu], axis=1)
-    else:
-        lam = math.sqrt(-mu)
-        pts = np.stack([np.sinh(lam * a) / lam, (np.cosh(lam * a) - 1.0) / (-mu)], axis=1)
-    return SampledCurve(a, pts)
+    frames = conic_frames(mu, a)
+    # abs keeps the hyperbola's y at a = 0 a +0.0 instead of -0.0
+    y = 0.5 * a**2 if mu == 0.0 else np.abs((1.0 - frames[:, 0, 0]) / mu)
+    return SampledCurve(a, np.stack([frames[:, 0, 1], y], axis=1))
 
 
 def conic_frames(mu: float, alpha) -> np.ndarray:
@@ -146,13 +141,13 @@ def conic_frames(mu: float, alpha) -> np.ndarray:
 class PicardResult:
     """Converged frames plus the certified truncation data of the run.
 
+    The frames sit on the grid of the returned curve, ``curve.params``.
     ``iterations`` is the planned sweep count that ``tail_bound`` certifies, and
     ``step_gaps`` has one entry per planned sweep.  When a sweep returned its
     input bit for bit the run stopped there; the zero gaps after it are exact,
     since each skipped sweep would have returned the same frames.
     """
 
-    grid: np.ndarray
     frames: np.ndarray
     iterations: int
     c: float
@@ -161,7 +156,7 @@ class PicardResult:
 
     @property
     def grid_size(self) -> int:
-        return int(self.grid.shape[0])
+        return int(self.frames.shape[0])
 
 
 def _log_tail(c: float, length: float, n: int, a0_norm: float) -> float:
@@ -281,7 +276,6 @@ def picard(
 
     pts = origin + cumulative_simpson(frames[:, 0, :], h)
     result = PicardResult(
-        grid=grid,
         frames=frames,
         iterations=iterations,
         c=c,

@@ -10,7 +10,7 @@ import re
 import sys
 
 from . import affine, euclidean, series
-from .curvatures import EvaluationDomainError, MonomialCurvature, SpecParseError, parse_spec_cli
+from .curvatures import MonomialCurvature, SpecParseError, parse_spec_cli
 from .curveio import (
     CsvFormatError,
     bound_report_json,
@@ -182,12 +182,7 @@ def main(argv=None) -> int:
     except (SpecParseError, CsvFormatError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        affine.PicardConvergenceError,
-        series.SeriesTruncationError,
-        EvaluationDomainError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

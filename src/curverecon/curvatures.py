@@ -55,7 +55,7 @@ def bump(s):
     difference, which keeps the values exact 0/1 once the exponent leaves
     double range instead of overflowing.
     """
-    arr = np.atleast_1d(np.asarray(s, dtype=float))
+    arr = np.asarray(s, dtype=float)
     out = np.zeros_like(arr)
     left = (arr > 0.0) & (arr < 1.0)
     if left.any():
@@ -68,9 +68,7 @@ def bump(s):
         g = 1.0 / (2.0 - u) - 1.0 / (u - 1.0)
         out[right] = 1.0 / (1.0 + np.exp(np.clip(g, -700.0, 700.0)))
     out[arr == 1.0] = 1.0
-    if np.ndim(s) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(s))
+    return out
 
 
 class CurvatureSpec:
@@ -96,9 +94,7 @@ class ConstantCurvature(CurvatureSpec):
     value: Number
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        v = np.full_like(t, float(self.value))
-        return v if v.ndim else float(v)
+        return np.full_like(np.asarray(t, dtype=float), float(self.value))
 
     def turning_ratio(self, period):
         return float(self.value) * period / TWO_PI
@@ -114,8 +110,7 @@ class SinusoidCurvature(CurvatureSpec):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        v = float(self.a) * np.sin(t) + float(self.b) * np.cos(t) + float(self.c)
-        return v if v.ndim else float(v)
+        return float(self.a) * np.sin(t) + float(self.b) * np.cos(t) + float(self.c)
 
     def turning_ratio(self, period):
         if not _is_natural_period(period, TWO_PI):
@@ -139,8 +134,7 @@ class SinePlusBump(CurvatureSpec):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        v = np.asarray(np.sin(t) + (TWO_PI / float(self.r)) * bump(np.mod(t, TWO_PI)))
-        return v if v.ndim else float(v)
+        return np.sin(t) + (TWO_PI / float(self.r)) * bump(np.mod(t, TWO_PI))
 
     def turning_ratio(self, period):
         if _is_natural_period(period, TWO_PI):
@@ -155,9 +149,7 @@ class BumpPlusOneSquared(CurvatureSpec):
     r: Fraction
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        v = np.asarray((float(self.r) * pi) ** 2 * (bump(np.mod(t, 2.0)) + 1.0) ** 2)
-        return v if v.ndim else float(v)
+        return (float(self.r) * pi) ** 2 * (bump(np.mod(np.asarray(t, dtype=float), 2.0)) + 1.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -172,9 +164,7 @@ class MonomialCurvature(CurvatureSpec):
             raise ValueError("monomial exponent must be a non-negative integer")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        v = float(self.c) * t**self.k
-        return v if v.ndim else float(v)
+        return float(self.c) * np.asarray(t, dtype=float) ** self.k
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +203,7 @@ class TableCurvature(CurvatureSpec):
                     f"value outside table range [{lo}, {hi}] and table is not periodic"
                 )
             u = np.clip(t, lo, hi)
-        v = np.asarray(np.interp(u, self.grid, self.values), dtype=float)
-        return v if v.ndim else float(v)
+        return np.interp(u, self.grid, self.values)
 
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")

@@ -89,11 +89,15 @@ def read_curve_csv(path) -> SampledCurve:
     return SampledCurve(data[:, 0], data[:, 1:3])
 
 
-def write_curve_csv(curve: SampledCurve, path) -> None:
+def _write_rows(path, header: str, *columns) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("s,x,y\n")
-        for s, (x, y) in zip(curve.params, curve.points):
-            fh.write(f"{_fmt(s)},{_fmt(x)},{_fmt(y)}\n")
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def write_curve_csv(curve: SampledCurve, path) -> None:
+    _write_rows(path, "s,x,y", curve.params, curve.points[:, 0], curve.points[:, 1])
 
 
 def read_table_csv(path):
@@ -104,10 +108,7 @@ def read_table_csv(path):
 
 
 def write_table_csv(grid, values, path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(grid, values):
-            fh.write(f"{_fmt(t)},{_fmt(v)}\n")
+    _write_rows(path, "t,value", grid, values)
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b"]

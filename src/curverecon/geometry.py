@@ -26,18 +26,12 @@ __all__ = [
     "hausdorff_distance",
     "normalize_to_standard_frame",
     "resample_by_rate",
-    "rotation_matrix",
     "sup_norm",
 ]
 
 
 class DegenerateFrameError(ValueError):
     """Raised when a start frame cannot be formed (non-regular parametrization)."""
-
-
-def rotation_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 def _inv2(m: np.ndarray) -> np.ndarray:
@@ -92,7 +86,8 @@ class RigidMotion(EquiAffineMap):
 
     @classmethod
     def from_angle(cls, theta: float, translation=(0.0, 0.0)) -> "RigidMotion":
-        return cls(rotation_matrix(theta), np.asarray(translation, dtype=float))
+        c, s = np.cos(theta), np.sin(theta)
+        return cls(np.array([[c, -s], [s, c]]), np.asarray(translation, dtype=float))
 
     @property
     def angle(self) -> float:
@@ -180,31 +175,32 @@ def _as_points(obj) -> np.ndarray:
 
 
 def _min_dist_to_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each point, min distance to any segment [a_j, b_j]."""
+    """For each point, min distance to any segment [a_j, b_j]; ``a`` and ``b`` are
+    (segments, 2), shared by every point, or (points, segments, 2), one set per point."""
     ab = b - a
-    denom = np.einsum("sd,sd->s", ab, ab)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    ap = pts[:, None, :] - a[None, :, :]
-    t = np.einsum("psd,sd->ps", ap, ab) / safe
-    t = np.clip(t, 0.0, 1.0)
-    t[:, denom == 0.0] = 0.0
-    d = ap - t[:, :, None] * ab[None, :, :]
+    denom = np.einsum("...d,...d->...", ab, ab)
+    ap = pts[:, None, :] - a
+    t = np.einsum("...d,...d->...", ap, ab) / np.where(denom > 0.0, denom, 1.0)
+    t = np.where(denom == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    d = ap - t[:, :, None] * ab
     return np.sqrt(np.einsum("psd,psd->ps", d, d).min(axis=1))
 
 
 def _directed_hausdorff(p: np.ndarray, q: np.ndarray) -> float:
     if q.shape[0] == 1:
         return float(np.hypot(*(p - q[0]).T).max())
-    # point-to-vertex distances bound point-to-polyline from above, so points
-    # are processed in decreasing order of that bound and dropped once they
-    # cannot exceed the running maximum
-    d_vertex = cKDTree(q).query(p)[0]
+    # the distance to the two segments at a point's nearest vertex bounds its distance
+    # to the polyline from above, so points are processed in decreasing order of that
+    # bound and dropped once they cannot exceed the running maximum
+    j = cKDTree(q).query(p)[1]
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, q.shape[0] - 1)
+    near = _min_dist_to_segments(p, np.stack([q[lo], q[j]], axis=1), np.stack([q[j], q[hi]], axis=1))
     a, b = q[:-1], q[1:]
-    order = np.argsort(-d_vertex)
+    order = np.argsort(-near)
     best = -1.0
     for start in range(0, order.size, 256):
         idx = order[start : start + 256]
-        idx = idx[d_vertex[idx] > best]
+        idx = idx[near[idx] > best]
         if idx.size == 0:
             break
         best = max(best, float(_min_dist_to_segments(p[idx], a, b).max()))

@@ -29,8 +29,8 @@ __all__ = [
 TERM_CAP = 100_000
 
 
-class SeriesTruncationError(RuntimeError):
-    """Requested term tolerance unreachable within the term cap."""
+class SeriesTruncationError(ValueError):
+    """Requested term tolerance unreachable: past the term cap, or below the sum's round-off."""
 
 
 def truncation_count(mu: MonomialCurvature, alpha_max: float, tol: float = 1e-14) -> int:
@@ -62,11 +62,22 @@ def tangent_coefficients(mu: MonomialCurvature, alpha_max: float, tol: float = 1
 
     u_i multiplies T0 * alpha^(K i), v_i multiplies N0 * alpha^(K i + 1);
     both start at 1 and follow u_i = -c u_(i-1) / (K i (K i - 1)) and
-    v_i = -c v_(i-1) / (K i (K i + 1)).
+    v_i = -c v_(i-1) / (K i (K i + 1)).  The alternating sum loses every digit
+    below 2^-53 times its largest term, so a round-off above ``tol`` is refused.
     """
     m = truncation_count(mu, alpha_max, tol)
     K = mu.k + 2
     c = float(mu.c)
+    a = abs(float(alpha_max))
+    # log |u_i| a^(K i) and log |v_i| a^(K i + 1): the ladder underflows long before its terms do
+    j = K * np.arange(1.0, m + 1.0)
+    with np.errstate(divide="ignore"):  # a zero c or alpha leaves log 0 = -inf
+        log_step = np.log(abs(c)) + K * np.log(a)
+        log_terms = np.concatenate([[0.0, np.log(a)], np.cumsum(log_step - np.log(j * (j - 1.0))),
+                                    np.log(a) + np.cumsum(log_step - np.log(j * (j + 1.0)))])
+    if log_terms.max() - 53.0 * math.log(2.0) > math.log(tol):
+        raise SeriesTruncationError(f"series round-off 2^-53 x 10^{log_terms.max() / math.log(10.0):.1f} "
+                                    f"exceeds the term tolerance {tol:.1e} at alpha={a!r}")
     u = np.empty(m + 1)
     v = np.empty(m + 1)
     u[0] = v[0] = 1.0
@@ -91,8 +102,7 @@ def tangent(mu: MonomialCurvature, alpha):
     a = np.asarray(alpha, dtype=float)
     u, v = tangent_coefficients(mu, float(np.abs(a).max()))
     K = mu.k + 2
-    out = np.stack([_eval_lines(a, K, u, 0), _eval_lines(a, K, v, 1)], axis=-1)
-    return out if a.ndim else out.reshape(2)
+    return np.stack([_eval_lines(a, K, u, 0), _eval_lines(a, K, v, 1)], axis=-1)
 
 
 def curve(mu: MonomialCurvature, length: float, n: int, tol: float = 1e-14) -> SampledCurve:
@@ -101,8 +111,8 @@ def curve(mu: MonomialCurvature, length: float, n: int, tol: float = 1e-14) -> S
         raise ValueError("need at least 2 samples")
     if n > GRID_CAP:
         raise ValueError(f"{n} samples exceed the cap of {GRID_CAP}")
-    a = np.linspace(0.0, length, n)
     u, v = tangent_coefficients(mu, length, tol)
+    a = np.linspace(0.0, length, n)
     K = mu.k + 2
     # float aranges: an exponent K beyond int64 would overflow an integer product
     iu = u / (K * np.arange(u.size, dtype=float) + 1.0)

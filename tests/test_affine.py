@@ -152,10 +152,10 @@ class TestConics:
 class TestPicard:
     def test_zero_curvature_exact_after_two_sweeps(self):
         curve, res = affine.picard(const(0.0), 2.0, n_grid=257, iterations=2)
-        expect = np.stack([np.ones_like(res.grid), res.grid], axis=1)
+        expect = np.stack([np.ones_like(curve.params), curve.params], axis=1)
         assert_allclose(res.frames[:, 0, :], expect, atol=1e-15)
         assert np.abs(res.frames[:, 1, :] - np.array([0.0, 1.0])).max() <= 1e-15
-        assert_allclose(curve.points, np.stack([res.grid, 0.5 * res.grid**2], axis=1), atol=1e-15)
+        assert_allclose(curve.points, np.stack([curve.params, 0.5 * curve.params**2], axis=1), atol=1e-15)
         assert res.step_gaps[1] == 0.0  # nilpotent: stationary after the first sweep
 
     def test_matches_closed_form_ellipse(self):
@@ -165,8 +165,8 @@ class TestPicard:
 
     def test_tail_bound_honest_against_closed_form(self):
         for n in range(16):
-            _, res = affine.picard(const(1.0), 1.0, n_grid=4097, iterations=n)
-            exact = affine.conic_frames(1.0, res.grid)
+            curve, res = affine.picard(const(1.0), 1.0, n_grid=4097, iterations=n)
+            exact = affine.conic_frames(1.0, curve.params)
             measured = np.abs(res.frames - exact).max()
             assert measured <= affine.picard_bounds(1.0, 1.0, n)["bound_tail"] + 1e-12
 
@@ -225,7 +225,7 @@ class TestFixedPointExit:
     def test_bitwise_equal_to_every_planned_sweep(self, spec, kwargs, fixed_at):
         mu = parse_spec(spec)
         curve, res = affine.picard(mu, 2.0, **kwargs)
-        frames, points, gaps = _planned_sweeps(mu, res.grid, res.iterations)
+        frames, points, gaps = _planned_sweeps(mu, curve.params, res.iterations)
         assert res.frames.tobytes() == frames.tobytes()
         assert curve.points.tobytes() == points.tobytes()
         assert res.step_gaps == tuple(gaps)

@@ -256,6 +256,20 @@ class TestReconstruct:
         assert stdout == ""
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("curvature, domain, flags, code, err", [
+        ("monomial:1,1", "1:2", (), 2, "error: series mode integrates from 0"),
+        ("monomial:1,0", "0:30", (), 3, "solver error: series round-off"),
+        ("monomial:1,0", "0:100", (), 3, "solver error: series round-off"),
+        ("monomial:1,0", "0:30", ("--tol", "1e-3"), 0, ""),
+        ("monomial:1,0", "0:3", (), 0, ""),
+    ], ids=["domain-start", "round-off-0:30", "round-off-0:100", "loose-tol-0:30", "accepted-0:3"])
+    def test_series_refusals(self, capsys, curvature, domain, flags, code, err):
+        got, stdout, stderr = run_cli(capsys, "reconstruct", "series", "--curvature", curvature,
+                                      "--domain", domain, *flags)
+        assert got == code
+        assert stderr.startswith(err)
+        assert (stdout == "") == (code != 0)
+
     def test_series_needs_monomial(self, capsys):
         code, _, err = run_cli(capsys, "reconstruct", "series",
                                "--curvature", "const:1", "--domain", "0:1")

@@ -96,6 +96,21 @@ class TestParsing:
         with pytest.raises(ValueError, match="non-negative integer"):
             MonomialCurvature(1.0, k)
 
+    @pytest.mark.parametrize("build, message, offset", [
+        ("kn:0", "kn ratio must be nonzero", 3),
+        ("sinusoid:1,2", "sinusoid takes exactly 3 numbers", 9),
+        ("monomial:1", "monomial takes '<c>,<k>'", 9),
+        ("table:", "table needs a CSV path", 6),
+        ("table:,periodic", "table needs a CSV path", 6),
+        ("const:1/0", "zero denominator", 6),
+        pytest.param(lambda: SinePlusBump(Fraction(0)), "kn ratio must be nonzero", None, id="SinePlusBump-0"),
+    ])
+    def test_refusal_names_the_problem_and_its_offset(self, build, message, offset):
+        with pytest.raises(ValueError) as exc:
+            build() if callable(build) else parse_spec(build)
+        assert str(exc.value) == message + ("" if offset is None else f" (at offset {offset})")
+        assert getattr(exc.value, "offset", None) == offset
+
     def test_error_offsets_point_at_argument(self):
         with pytest.raises(SpecParseError) as exc:
             parse_spec("sinusoid:1,xx,3")
@@ -140,6 +155,14 @@ class TestEvaluation:
         mun = parse_spec("mun:3/5")
         a = np.linspace(0.0, 2.0, 97)
         assert np.abs(mun(a + 2.0) - mun(a)).max() < 1e-12
+
+    @pytest.mark.parametrize("text", ["const:2", "sinusoid:1,1,1/3", "kn:5/3", "mun:2/5", "monomial:1,2"])
+    def test_arrays_map_to_arrays_of_the_same_shape(self, text):
+        spec = parse_spec(text)
+        t = np.linspace(0.0, 2.5, 6).reshape(3, 2)
+        assert spec(t).shape == (3, 2)
+        assert np.ndim(spec(1.5)) == 0
+        assert abs(spec(1.5) - spec(t)[1, 1]) <= 1e-15 * abs(spec(1.5))
 
     def test_vectorized_matches_scalar(self):
         spec = parse_spec("sinusoid:1,1,1/3")

@@ -16,7 +16,6 @@ from curverecon.geometry import (
     hausdorff_distance,
     normalize_to_standard_frame,
     resample_by_rate,
-    rotation_matrix,
     sup_norm,
 )
 
@@ -40,7 +39,7 @@ class TestGroupLaws:
     def test_quarter_turns_compose_to_half_turn(self):
         g = RigidMotion.from_angle(np.pi / 2)
         gg = g.compose(g)
-        assert_allclose(gg.linear, rotation_matrix(np.pi), atol=1e-15)
+        assert_allclose(gg.linear, RigidMotion.from_angle(np.pi).linear, atol=1e-15)
         assert_allclose(gg.translation, 0.0, atol=1e-15)
 
     def test_translations_add(self):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from curverecon import affine, series
 from curverecon.curvatures import MonomialCurvature
-from curverecon.geometry import hausdorff_distance
+from curverecon.geometry import grid_distance
 
 
 class TestTangent:
@@ -39,8 +39,8 @@ class TestTangent:
 
     def test_matches_iterative_frame_row(self):
         spec = MonomialCurvature(1.0, 1)
-        _, res = affine.picard(lambda a: np.asarray(a, dtype=float), 1.0, tol=1e-12)
-        t_series = series.tangent(spec, res.grid)
+        curve, res = affine.picard(lambda a: np.asarray(a, dtype=float), 1.0, tol=1e-12)
+        t_series = series.tangent(spec, curve.params)
         gap = np.abs(t_series - res.frames[:, 0, :]).max()
         assert gap <= 1e-9
 
@@ -64,7 +64,7 @@ class TestCurve:
     def test_matches_iterative_solver(self, k):
         pc, _ = affine.picard(lambda a, kk=k: np.asarray(a, dtype=float) ** kk, 3.0, tol=1e-10)
         sc = series.curve(MonomialCurvature(1.0, k), 3.0, len(pc))
-        assert hausdorff_distance(sc, pc) <= 1e-6
+        assert grid_distance(sc, pc) <= 1e-6
 
 
 class TestCoefficients:
@@ -108,6 +108,20 @@ class TestCoefficients:
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(series.SeriesTruncationError):
             series.truncation_count(MonomialCurvature(1.0, 0), 500.0, tol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [3.0, 6.0, 7.0, 10.0])
+    def test_round_off_above_tol_is_refused(self, alpha):
+        # the sum loses 2^-53 of its largest term, read here off a ladder built at a looser tolerance
+        mu = MonomialCurvature(1.0, 0)
+        u, v = series.tangent_coefficients(mu, alpha, tol=1e-3)
+        K = 2 * np.arange(u.size)
+        peak = max((np.abs(u) * alpha**K).max(), (np.abs(v) * alpha ** (K + 1)).max())
+        if 2.0**-53 * peak > 1e-14:
+            with pytest.raises(series.SeriesTruncationError, match="round-off") as exc:
+                series.tangent_coefficients(mu, alpha, tol=1e-14)
+            assert isinstance(exc.value, ValueError)
+        else:
+            assert series.tangent_coefficients(mu, alpha, tol=1e-14)[0].size > u.size
 
 
 class TestGammaRatio:
