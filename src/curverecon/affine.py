@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .geometry import BoundReport, EquiAffineMap, SampledCurve, derivatives, grid_distance, resample_by_rate
 from .geometry import sup_norm
@@ -53,6 +51,8 @@ def arclength_reparametrize(curve: SampledCurve) -> SampledCurve:
     the new parameter accumulates det(g', g'')^(1/3) of the interpolating
     cubic spline, via :func:`~curverecon.geometry.resample_by_rate`.
     """
+    from scipy.interpolate import CubicSpline
+
     t = curve.params
     spline = CubicSpline(t, curve.points, axis=0)
     d1 = spline.derivative()
@@ -86,13 +86,16 @@ def curvature_from_euclidean(s, kappa):
     result onto uniform affine arc length alpha(s) = integral of k^(1/3).
     Requires kappa > 0 throughout (the fractional power needs it).
     """
+    from scipy.interpolate import PchipInterpolator
+
     s = np.asarray(s, dtype=float)
     k = np.asarray(kappa, dtype=float)
     if k.min() <= 0.0:
         raise ValueError(f"curvature must be positive; min {k.min():.3e} at s={s[int(np.argmin(k))]!r}")
     ks, kss = derivatives(s, k)
     mu = (3.0 * k * (kss + 3.0 * k**3) - 5.0 * ks**2) / (9.0 * k ** (8.0 / 3.0))
-    alpha = cumulative_trapezoid(np.cbrt(k), s, initial=0.0)
+    rate = np.cbrt(k)
+    alpha = np.concatenate(([0.0], np.cumsum(np.diff(s) * (rate[1:] + rate[:-1]) / 2.0)))
     alpha_uniform = np.linspace(0.0, alpha[-1], s.size)
     mu_uniform = PchipInterpolator(alpha, mu)(alpha_uniform)
     return alpha_uniform, mu_uniform

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 
 from .geometry import BoundReport, RigidMotion, SampledCurve, derivatives, grid_distance, resample_by_rate
 from .geometry import sup_norm
@@ -97,6 +95,8 @@ def arclength_reparametrize(curve: SampledCurve) -> SampledCurve:
     is the speed of the interpolating cubic spline, which must be at least
     1e-9 at every node.
     """
+    from scipy.interpolate import CubicSpline
+
     t = curve.params
     dspline = CubicSpline(t, curve.points, axis=0).derivative()
     speed_nodes = np.hypot(*dspline(t).T)
@@ -164,6 +164,8 @@ def classify_closure(kappa, period: float) -> ClosureReport:
         raise ValueError("a positive period is required")
     ratio = kappa.turning_ratio(period)
     if ratio is None:
+        from scipy import integrate
+
         total, _ = integrate.quad(lambda t: float(kappa(t)), 0.0, period, epsabs=1e-10, limit=500)
         ratio = total / TWO_PI
     if not isinstance(ratio, Fraction):

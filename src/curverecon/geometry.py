@@ -12,8 +12,6 @@ in the action makes composition associative for non-commuting matrix parts.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.spatial import cKDTree
 
 __all__ = [
     "DegenerateFrameError",
@@ -145,6 +143,8 @@ def resample_by_rate(curve: SampledCurve, rate) -> SampledCurve:
     Gauss-Legendre integral of ``rate`` over each grid interval; the points
     are then re-read at uniform steps of it by monotone cubic interpolation.
     """
+    from scipy.interpolate import PchipInterpolator
+
     t, p = curve.params, curve.points
     a, b = t[:-1], t[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -189,6 +189,8 @@ def _min_dist_to_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
 def _directed_hausdorff(p: np.ndarray, q: np.ndarray) -> float:
     if q.shape[0] == 1:
         return float(np.hypot(*(p - q[0]).T).max())
+    from scipy.spatial import cKDTree
+
     # the distance to the two segments at a point's nearest vertex bounds its distance
     # to the polyline from above, so points are processed in decreasing order of that
     # bound and dropped once they cannot exceed the running maximum

@@ -97,10 +97,10 @@ def _eval_lines(alpha, K, coeffs, shift):
     return acc * a**shift
 
 
-def tangent(mu: MonomialCurvature, alpha):
+def tangent(mu: MonomialCurvature, alpha, tol: float = 1e-14):
     """Affine tangent T(alpha) from T(0) = (1, 0), T'(0) = (0, 1) (truncated series)."""
     a = np.asarray(alpha, dtype=float)
-    u, v = tangent_coefficients(mu, float(np.abs(a).max()))
+    u, v = tangent_coefficients(mu, float(np.abs(a).max()), tol)
     K = mu.k + 2
     return np.stack([_eval_lines(a, K, u, 0), _eval_lines(a, K, v, 1)], axis=-1)
 

@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 
 from curverecon import affine
 from curverecon.curvatures import parse_spec
-from curverecon.geometry import EquiAffineMap, SampledCurve, grid_distance, hausdorff_distance
+from curverecon.geometry import EquiAffineMap, SampledCurve, derivatives, grid_distance, hausdorff_distance
 from curverecon.quadrature import cumulative_simpson
 
 PI = math.pi
@@ -94,6 +94,11 @@ class TestCurvatureConversion:
         # conic with mu=2 -> euclidean curvature samples -> back to mu; the
         # curvature formula is parametrization-invariant, so it reads off the
         # alpha-sampled points, and s comes from integrating the speed
+        alpha, mu = affine.curvature_from_euclidean(*self._ellipse_samples())
+        assert np.abs(mu[8:-8] - 2.0).max() < 1e-3
+
+    @staticmethod
+    def _ellipse_samples():
         from scipy.integrate import cumulative_trapezoid
 
         from curverecon import euclidean
@@ -101,9 +106,33 @@ class TestCurvatureConversion:
         curve = affine.conic(2.0, 4.0, 4097)
         _, kappa = euclidean.curvature(curve)
         d1 = np.gradient(curve.points, curve.params, axis=0, edge_order=2)
-        s = cumulative_trapezoid(np.hypot(d1[:, 0], d1[:, 1]), curve.params, initial=0.0)
+        return cumulative_trapezoid(np.hypot(d1[:, 0], d1[:, 1]), curve.params, initial=0.0), kappa
+
+    @pytest.mark.parametrize("case", ["circle", "const 0.5", "const 2", "sinusoid", "ellipse"])
+    def test_running_integral_bitwise_equal_to_scipy_trapezoid(self, case):
+        # the numpy trapezoid must give scipy's cumulative_trapezoid bits, so the
+        # conversion returns what it did while it called scipy
+        from scipy.integrate import cumulative_trapezoid
+        from scipy.interpolate import PchipInterpolator
+
+        s2, s3 = np.linspace(0.0, 2 * PI, 4097), np.linspace(0.0, 3.0, 2049)
+        s, kappa = {
+            "circle": lambda: (s2, np.ones_like(s2)),
+            "const 0.5": lambda: (s3, np.full_like(s3, 0.5)),
+            "const 2": lambda: (s3, np.full_like(s3, 2.0)),
+            "sinusoid": lambda: (s3, 0.5 + 0.2 * np.sin(s3)),
+            "ellipse": self._ellipse_samples,
+        }[case]()
+        rate = np.cbrt(kappa)
+        running = np.concatenate(([0.0], np.cumsum(np.diff(s) * (rate[1:] + rate[:-1]) / 2.0)))
+        reference = cumulative_trapezoid(rate, s, initial=0.0)
+        assert np.array_equal(running, reference)
+
         alpha, mu = affine.curvature_from_euclidean(s, kappa)
-        assert np.abs(mu[8:-8] - 2.0).max() < 1e-3
+        ks, kss = derivatives(s, kappa)
+        mu_nodes = (3.0 * kappa * (kss + 3.0 * kappa**3) - 5.0 * ks**2) / (9.0 * kappa ** (8.0 / 3.0))
+        assert np.array_equal(alpha, np.linspace(0.0, reference[-1], s.size))
+        assert np.array_equal(mu, PchipInterpolator(reference, mu_nodes)(alpha))
 
     def test_nonpositive_curvature_rejected(self):
         s = np.linspace(0.0, 1.0, 65)

@@ -37,6 +37,16 @@ class TestTangent:
         assert np.abs(t[:, 0] - np.cosh(lam * a)).max() < 1e-9
         assert np.abs(t[:, 1] - np.sinh(lam * a) / lam).max() < 1e-9
 
+    def test_tol_loosens_the_round_off_refusal(self):
+        # at alpha = 10 the largest term is ~10^3.4, so the sum's round-off passes 1e-14
+        spec = MonomialCurvature(1.0, 0)
+        a = np.linspace(0.0, 10.0, 5)
+        with pytest.raises(series.SeriesTruncationError, match="round-off"):
+            series.tangent(spec, a)
+        t = series.tangent(spec, a, tol=1e-9)
+        assert np.abs(t[:, 0] - np.cos(a)).max() < 1e-9
+        assert np.abs(t[:, 1] - np.sin(a)).max() < 1e-9
+
     def test_matches_iterative_frame_row(self):
         spec = MonomialCurvature(1.0, 1)
         curve, res = affine.picard(lambda a: np.asarray(a, dtype=float), 1.0, tol=1e-12)
