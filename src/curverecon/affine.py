@@ -14,7 +14,7 @@ import numpy as np
 from .geometry import BoundReport, EquiAffineMap, SampledCurve, derivatives, grid_distance, resample_by_rate
 from .geometry import sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
-from .quadrature import cumulative_simpson, odd_sample_count, probe
+from .quadrature import cumulative_simpson, finite_values, odd_sample_count, probe
 
 __all__ = [
     "PicardConvergenceError",
@@ -148,7 +148,8 @@ class PicardResult:
     ``iterations`` is the planned sweep count that ``tail_bound`` certifies, and
     ``step_gaps`` has one entry per planned sweep.  When a sweep returned its
     input bit for bit the run stopped there; the zero gaps after it are exact,
-    since each skipped sweep would have returned the same frames.
+    since each skipped sweep would have returned the same frames.  ``frames`` is entry-major, an
+    ``(n, 2, 2)`` view of a C-ordered ``(2, 2, n)`` array, so each sweep works on runs of n nodes.
     """
 
     frames: np.ndarray
@@ -260,10 +261,11 @@ def picard(
 
     grid = np.linspace(0.0, length, n_grid)
     h = grid[1] - grid[0]
-    mu_vals = np.asarray(mu(grid), dtype=float)
+    mu_vals = finite_values(mu, grid)  # a NaN can sit between the probe's nodes
     c = max(1.0, float(np.abs(mu_vals).max()), c)
 
-    frames = np.broadcast_to(A0, (n_grid, 2, 2)).copy()
+    frames = np.empty((2, 2, n_grid)).transpose(2, 0, 1)
+    frames[...] = A0
     base = A0[None, :, :]
     gaps = []
     ca = np.empty_like(frames)

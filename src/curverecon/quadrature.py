@@ -16,13 +16,22 @@ def odd_sample_count(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+def finite_values(f, nodes: np.ndarray) -> np.ndarray:
+    """Values of ``f`` at ``nodes``, as floats; the first non-finite one is refused (``ValueError``)."""
+    values = np.asarray(f(nodes), dtype=float)
+    if not np.isfinite(values).all():
+        i = np.argmin(np.isfinite(values))
+        raise ValueError(f"curvature {values[i]} at parameter {float(nodes[i])!r} past the domain start is not finite")
+    return values
+
+
 def probe(f, length: float) -> np.ndarray:
-    """Values of ``f`` at 4097 uniform nodes of [0, length], as floats.
+    """Values of ``f`` at 4097 uniform nodes of [0, length], as finite floats.
 
     Sizes a curvature before any grid is chosen: the sample counts, sweep
-    counts and bounds built on it take its ``sup_norm``.
+    counts and bounds built on it take its ``sup_norm``, so a NaN is refused (``max(1.0, nan)`` is 1.0).
     """
-    return np.asarray(f(np.linspace(0.0, length, 4097)), dtype=float)
+    return finite_values(f, np.linspace(0.0, length, 4097))
 
 
 def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -30,7 +39,8 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
     ``y`` may be scalar- or array-valued per node (shape ``(n, ...)``).
     Requires an odd node count; exact for cubics at even nodes, for
-    quadratics at odd nodes, O(h^4) accurate overall.
+    quadratics at odd nodes, O(h^4) accurate overall.  The output keeps ``y``'s memory layout
+    (``empty_like`` and the ufuncs follow it); :func:`~curverecon.affine.picard` relies on that.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]

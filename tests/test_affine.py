@@ -231,30 +231,59 @@ class TestPicard:
             affine.picard(const(1.0), 1.0, pose=EquiAffineMap(np.diag([2.0, 1.0]), np.zeros(2)))
 
 
-def _planned_sweeps(mu, grid, iterations):
-    """Frames, points and step gaps of every planned sweep, with no early exit."""
+def _planned_sweeps(mu, grid, iterations, A0=np.eye(2), origin=np.zeros(2)):
+    """Frames, points and step gaps of every planned sweep, with no early exit.
+
+    The sweep loop on C-ordered ``(n, 2, 2)`` frames, kept as the independent
+    reference for ``picard``'s entry-major frames.
+    """
     h = grid[1] - grid[0]
     mu_vals = np.asarray(mu(grid), dtype=float)
-    frames = np.broadcast_to(np.eye(2), (grid.size, 2, 2)).copy()
+    frames = np.broadcast_to(A0, (grid.size, 2, 2)).copy()
     gaps = []
     for _ in range(iterations):
         ca = np.stack([frames[:, 1, :], -mu_vals[:, None] * frames[:, 0, :]], axis=1)
-        new = np.eye(2)[None, :, :] + affine.cumulative_simpson(ca, h)
+        new = A0[None, :, :] + affine.cumulative_simpson(ca, h)
         gaps.append(float(np.abs(new - frames).max()))
         frames = new
-    return frames, np.zeros(2) + affine.cumulative_simpson(frames[:, 0, :], h), gaps
+    return frames, origin + affine.cumulative_simpson(frames[:, 0, :], h), gaps
+
+
+@pytest.fixture
+def simpson_calls(monkeypatch):
+    """One entry per call of ``affine.cumulative_simpson``: each sweep run, then the points."""
+    calls = []
+    simpson = affine.cumulative_simpson
+
+    def counted(*args):
+        calls.append(1)
+        return simpson(*args)
+
+    monkeypatch.setattr(affine, "cumulative_simpson", counted)
+    return calls
+
+
+SHEAR = EquiAffineMap(np.array([[1.0, 0.75], [0.0, 1.0]]), np.array([0.5, -2.0]))
 
 
 class TestFixedPointExit:
-    @pytest.mark.parametrize("spec, kwargs, fixed_at", [
-        ("mun:2/5", {"tol": 1e-10}, 32),  # 59 planned sweeps
-        ("const:2", {"tol": 1e-10}, None),  # 26 planned sweeps, every gap positive
-        ("mun:2/5", {"iterations": 0}, None),
-    ], ids=["mun-fixed-point", "const-no-fixed-point", "zero-sweeps"])
-    def test_bitwise_equal_to_every_planned_sweep(self, spec, kwargs, fixed_at):
+    @pytest.mark.parametrize("spec, length, kwargs, fixed_at", [
+        ("mun:2/5", 2.0, {"tol": 1e-10}, 32),  # 59 planned sweeps
+        ("const:2", 2.0, {"tol": 1e-10}, None),  # 26 planned sweeps, every gap positive
+        ("mun:2/5", 2.0, {"iterations": 0}, None),
+        ("mun:3/5", 4.0, {"tol": 1e-10}, 59),  # 10,985 nodes, 218 planned sweeps
+        ("monomial:1,2", 3.0, {"tol": 1e-10}, 35),  # 111 planned sweeps
+        ("const:-3", 2.0, {"tol": 1e-10}, 29),  # hyperbola, 34 planned sweeps
+        ("mun:2/5", 22.0, {"iterations": 200}, None),  # the README curve: gaps cycle at ulp level, never 0
+        ("mun:2/5", 2.0, {"tol": 1e-10, "pose": SHEAR}, 32),
+    ], ids=["mun-fixed-point", "const-no-fixed-point", "zero-sweeps", "mun35-L4", "monomial12-L3", "hyperbola",
+            "readme-L22-cycle", "sheared-pose"])
+    def test_bitwise_equal_to_every_planned_sweep(self, spec, length, kwargs, fixed_at):
         mu = parse_spec(spec)
-        curve, res = affine.picard(mu, 2.0, **kwargs)
-        frames, points, gaps = _planned_sweeps(mu, curve.params, res.iterations)
+        curve, res = affine.picard(mu, length, **kwargs)
+        pose = kwargs.get("pose")
+        start = () if pose is None else (pose.inverse().linear, pose.translation)
+        frames, points, gaps = _planned_sweeps(mu, curve.params, res.iterations, *start)
         assert res.frames.tobytes() == frames.tobytes()
         assert curve.points.tobytes() == points.tobytes()
         assert res.step_gaps == tuple(gaps)
@@ -265,18 +294,26 @@ class TestFixedPointExit:
             assert gaps[fixed_at - 2] > 0.0 and set(gaps[fixed_at - 1:]) == {0.0}
             assert fixed_at < res.iterations
 
-    def test_sweeps_after_the_fixed_point_are_skipped(self, monkeypatch):
-        calls = []
-        simpson = affine.cumulative_simpson
-
-        def counted(*args):
-            calls.append(1)
-            return simpson(*args)
-
-        monkeypatch.setattr(affine, "cumulative_simpson", counted)
+    def test_sweeps_after_the_fixed_point_are_skipped(self, simpson_calls):
         _, res = affine.picard(parse_spec("mun:2/5"), 2.0, tol=1e-10)
-        # one call per sweep run plus one for the points
-        assert len(calls) < res.iterations + 1
+        assert res.iterations == 59
+        # the 32 sweeps up to the fixed point, then one integration for the points
+        assert len(simpson_calls) == 32 + 1
+
+    def test_frames_are_entry_major(self):
+        # each entry's n values contiguous: the layout that makes a sweep run over rows of n, not of 4
+        for kwargs in ({"tol": 1e-10}, {"iterations": 0}):
+            _, res = affine.picard(parse_spec("mun:2/5"), 2.0, **kwargs)
+            assert res.frames.transpose(1, 2, 0).flags.c_contiguous
+
+    def test_non_finite_sample_between_probe_nodes_refused_before_any_sweep(self, simpson_calls):
+        # a NaN spike at 0.50015 falls between the probe's nodes k/4096 but on the grid's node 10,003
+        def mu(t):
+            return np.where(np.abs(t - 0.50015) < 1e-6, np.nan, 1.0)
+
+        with pytest.raises(ValueError, match=r"^curvature nan at parameter 0\.50015 past the domain start is not finite$"):
+            affine.picard(mu, 1.0, n_grid=20001, iterations=3)
+        assert simpson_calls == []
 
 
 class TestPicardBounds:

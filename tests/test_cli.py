@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curverecon import cli
+from curverecon import affine, cli, euclidean
 from curverecon.curveio import read_curve_csv, write_table_csv
 from curverecon.geometry import BoundReport, grid_distance, hausdorff_distance
 
@@ -185,13 +185,13 @@ class TestReconstruct:
         assert code == 2
 
     def test_overflowing_curvature_exits_3(self, capsys):
-        # monomial:1,400 overflows to inf on [0, 10]: refused before any grid is built
+        # monomial:1,400 overflows to inf past t = 5.89 on [0, 10]: the probe refuses it before any grid is built
         with np.errstate(over="ignore"):
             code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
                                         "--curvature", "monomial:1,400", "--domain", "0:10")
         assert code == 3
         assert stdout == ""
-        assert err.startswith("solver error:") and "samples" in err
+        assert err == "solver error: curvature inf at parameter 5.8984375 past the domain start is not finite\n"
 
     @pytest.mark.parametrize("argv", [
         ("euclid", "--curvature", "const:1", "--domain", "0:1", "--samples", "2049"),
@@ -277,6 +277,42 @@ class TestReconstruct:
         assert "monomial" in err
 
 
+@pytest.fixture(scope="module")
+def bad_tables(tmp_path_factory):
+    """4097-row tables on [0, 100], 1.0 everywhere but row 10, which holds nan (``nan.csv``) or inf (``inf.csv``)."""
+    path = tmp_path_factory.mktemp("bad_tables")
+    t = np.linspace(0.0, 100.0, 4097)
+    for bad in ("nan", "inf"):
+        values = np.ones_like(t)
+        values[10] = float(bad)
+        write_table_csv(t, values, path / f"{bad}.csv")
+    return path
+
+
+class TestNonFiniteCurvature:
+    # on [0, 100] the probe's nodes are the table's rows; on [0, 12] the first node past row 9 is 0.2227
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("argv, at", [
+        (("reconstruct", "affine", "--curvature", "<table>", "--domain", "0:100", "--iterations", "300"), 0.244140625),
+        (("reconstruct", "euclid", "--curvature", "<table>", "--domain", "0:100"), 0.244140625),
+        (("compare", "affine", "<table>", "const:1", "--domain", "0:12"), 0.22265625),
+        (("compare", "euclid", "const:1", "<table>", "--domain", "0:12"), 0.22265625),
+    ], ids=["reconstruct-affine", "reconstruct-euclid", "compare-affine", "compare-euclid"])
+    def test_refused_before_any_sweep(self, capsys, monkeypatch, bad_tables, argv, at, bad):
+        calls = []
+        for module in (affine, euclidean):
+            def counted(*args, simpson=module.cumulative_simpson):
+                calls.append(1)
+                return simpson(*args)
+
+            monkeypatch.setattr(module, "cumulative_simpson", counted)
+        table = f"table:{bad_tables / bad}.csv"
+        code, stdout, err = run_cli(capsys, *(table if a == "<table>" else a for a in argv))
+        assert (code, stdout) == (3, "")
+        assert err == f"solver error: curvature {bad} at parameter {at!r} past the domain start is not finite\n"
+        assert calls == []
+
+
 class TestClassify:
     def test_bump_family_ten(self, capsys):
         code, stdout, _ = run_cli(capsys, "classify", "--curvature", "kn:10",
@@ -350,7 +386,7 @@ class TestCompare:
                                         "--domain", "0:10")
         assert code == 3
         assert stdout == ""
-        assert err.startswith("solver error:") and "samples" in err
+        assert err == "solver error: curvature inf at parameter 5.8984375 past the domain start is not finite\n"
 
     def test_work_cap_refuses_before_any_sweep(self, capsys):
         # 1,594 sweeps over 300,001 nodes per curve

@@ -32,6 +32,18 @@ def test_vector_valued_integrand():
     assert_allclose(out[:, 1], t**2, atol=1e-14)
 
 
+def test_entry_major_input_gives_the_same_bytes_in_its_own_layout():
+    # an (n, 2, 2) view of a C-ordered (2, 2, n) array, as picard's frames are
+    y = np.random.default_rng(3).standard_normal((1025, 2, 2))
+    entry_major = np.empty((2, 2, 1025)).transpose(2, 0, 1)
+    entry_major[...] = y
+    out = cumulative_simpson(entry_major, 0.01)
+    reference = cumulative_simpson(y, 0.01)
+    assert out.tobytes() == reference.tobytes()
+    assert out.transpose(1, 2, 0).flags.c_contiguous
+    assert reference.flags.c_contiguous
+
+
 def test_convergence_order():
     # halving h should shrink the endpoint error ~16x
     errs = []
