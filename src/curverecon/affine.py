@@ -17,7 +17,6 @@ from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wrap
 from .quadrature import cumulative_simpson, finite_values, odd_sample_count, probe
 
 __all__ = [
-    "PicardConvergenceError",
     "PicardResult",
     "arclength_reparametrize",
     "bound_check",
@@ -33,14 +32,6 @@ __all__ = [
 ITERATION_CAP = 10_000
 GRID_CAP = 300_001
 WORK_CAP = 50_000_000
-
-
-class PicardConvergenceError(ValueError):
-    """Tail tolerance unreachable within the iteration cap."""
-
-    def __init__(self, message: str, best_bound: float):
-        super().__init__(message)
-        self.best_bound = best_bound
 
 
 def arclength_reparametrize(curve: SampledCurve) -> SampledCurve:
@@ -182,16 +173,10 @@ def _tail_bound(c: float, length: float, n: int, a0_norm: float) -> float:
 
 def _iterations_for_tol(c: float, length: float, tol: float, a0_norm: float) -> int:
     log_tol = math.log(tol)
-    best = math.inf
     for n in range(ITERATION_CAP + 1):
-        lt = _log_tail(c, length, n, a0_norm)
-        best = min(best, lt)
-        if lt <= log_tol:
+        if _log_tail(c, length, n, a0_norm) <= log_tol:
             return n
-    raise PicardConvergenceError(
-        f"tail tolerance {tol:.1e} unreachable within {ITERATION_CAP} iterations",
-        best_bound=math.exp(best) if best < 700 else math.inf,
-    )
+    raise ValueError(f"tail tolerance {tol:.1e} unreachable within {ITERATION_CAP} iterations")
 
 
 def _plan(c: float, length: float, a0_norm: float, n_grid=None, iterations=None, tol=None):
@@ -202,15 +187,12 @@ def _plan(c: float, length: float, a0_norm: float, n_grid=None, iterations=None,
     enough that h^4 c L <= 0.01 tol (GRID_CAP when h underflows to 0) and at least
     4 L sqrt(c) / pi; a derived grid is clamped to [1025, GRID_CAP], and every grid is
     made odd and at least 17.  Refused (``ValueError``):
-    ``n_grid`` > GRID_CAP, ``iterations`` > ITERATION_CAP, a non-finite ``c``, and more than
-    WORK_CAP node-sweeps.
+    ``n_grid`` > GRID_CAP, ``iterations`` > ITERATION_CAP, and more than WORK_CAP node-sweeps.
     """
     if n_grid is not None and n_grid > GRID_CAP:
         raise ValueError(f"{n_grid} grid nodes exceed the cap of {GRID_CAP}")
     if iterations is not None and iterations > ITERATION_CAP:
         raise ValueError(f"{iterations} sweeps exceed the cap of {ITERATION_CAP}")
-    if not math.isfinite(c):
-        raise ValueError(f"curvature sup {c} on the domain is not finite")
     sweeps_only = iterations is not None and tol is None
     tol = 1e-10 if tol is None else tol
     if iterations is None:

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "SpecParseError",
-    "EvaluationDomainError",
     "CurvatureSpec",
     "ConstantCurvature",
     "SinusoidCurvature",
@@ -44,29 +43,22 @@ class SpecParseError(ValueError):
         self.offset = offset
 
 
-class EvaluationDomainError(ValueError):
-    """Evaluation outside a table's grid without the periodic flag."""
-
-
 def bump(s):
     """Smooth bump: 0 for s <= 0, 1 at s = 1, 0 for s >= 2, C-infinity throughout.
 
-    The two open pieces are evaluated as logistic sigmoids of the exponent
-    difference, which keeps the values exact 0/1 once the exponent leaves
-    double range instead of overflowing.
+    The bump is symmetric about 1, so the right piece is the left one at
+    ``2 - s`` (exact, like ``1 - u``: Sterbenz).  The open piece is evaluated as
+    a logistic sigmoid of the exponent difference, which keeps the values
+    exact 0/1 once the exponent leaves double range instead of overflowing.
     """
     arr = np.asarray(s, dtype=float)
     out = np.zeros_like(arr)
-    left = (arr > 0.0) & (arr < 1.0)
-    if left.any():
-        u = arr[left]
+    inside = (arr > 0.0) & (arr < 2.0) & (arr != 1.0)
+    if inside.any():
+        u = arr[inside]
+        u = np.where(u > 1.0, 2.0 - u, u)
         g = 1.0 / u - 1.0 / (1.0 - u)  # e^{1/(1-s)} / (e^{1/s} + e^{1/(1-s)})
-        out[left] = 1.0 / (1.0 + np.exp(np.clip(g, -700.0, 700.0)))
-    right = (arr > 1.0) & (arr < 2.0)
-    if right.any():
-        u = arr[right]
-        g = 1.0 / (2.0 - u) - 1.0 / (u - 1.0)
-        out[right] = 1.0 / (1.0 + np.exp(np.clip(g, -700.0, 700.0)))
+        out[inside] = 1.0 / (1.0 + np.exp(np.clip(g, -700.0, 700.0)))
     out[arr == 1.0] = 1.0
     return out
 
@@ -199,9 +191,7 @@ class TableCurvature(CurvatureSpec):
             u = np.mod(t - lo, hi - lo) + lo
         else:
             if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
-                raise EvaluationDomainError(
-                    f"value outside table range [{lo}, {hi}] and table is not periodic"
-                )
+                raise ValueError(f"value outside table range [{lo}, {hi}] and table is not periodic")
             u = np.clip(t, lo, hi)
         return np.interp(u, self.grid, self.values)
 

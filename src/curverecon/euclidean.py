@@ -14,11 +14,10 @@ import numpy as np
 from .geometry import BoundReport, RigidMotion, SampledCurve, derivatives, grid_distance, resample_by_rate
 from .geometry import sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
-from .quadrature import cumulative_simpson, odd_sample_count, probe
+from .quadrature import cumulative_simpson, finite_values, odd_sample_count, probe
 
 __all__ = [
     "ClosureReport",
-    "NotClosedError",
     "SAMPLE_CAP",
     "arclength_reparametrize",
     "bound_check",
@@ -32,10 +31,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 SAMPLE_CAP = 2_000_001
-
-
-class NotClosedError(ValueError):
-    """An operation that needs a closed curve got an open one."""
 
 
 def default_sample_count(length: float, kappa_sup: float) -> int:
@@ -66,7 +61,7 @@ def reconstruct(kappa, length: float, n: int | None = None, pose: RigidMotion | 
         raise ValueError(f"{n} samples exceed the cap of {SAMPLE_CAP}")
     theta0, origin = (0.0, np.zeros(2)) if pose is None else (pose.angle, pose.translation)
     s = np.linspace(0.0, length, n)
-    theta = theta0 + cumulative_simpson(kappa(s), s[1] - s[0])
+    theta = theta0 + cumulative_simpson(finite_values(kappa, s), s[1] - s[0])
     direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     pts = origin + cumulative_simpson(direction, s[1] - s[0])
     return SampledCurve(s, pts)
@@ -157,8 +152,9 @@ def classify_closure(kappa, period: float) -> ClosureReport:
     """Predict closedness of the curve reconstructed from a periodic curvature spec.
 
     The turning ratio is ``kappa.turning_ratio(period)``, or (1/2pi) * the quadrature integral
-    over [0, period] when that is None; a ratio that is not a ``Fraction`` is rationalized with
-    denominator <= 10^6 and tolerance 1e-8.
+    over [0, period] when that is None (after :func:`~curverecon.quadrature.probe` refuses a
+    non-finite sample); a ratio that is not a ``Fraction`` is refused when not finite and
+    otherwise rationalized with denominator <= 10^6 and tolerance 1e-8.
     """
     if period <= 0:
         raise ValueError("a positive period is required")
@@ -166,9 +162,12 @@ def classify_closure(kappa, period: float) -> ClosureReport:
     if ratio is None:
         from scipy import integrate
 
+        probe(kappa, period)
         total, _ = integrate.quad(lambda t: float(kappa(t)), 0.0, period, epsabs=1e-10, limit=500)
         ratio = total / TWO_PI
     if not isinstance(ratio, Fraction):
+        if not math.isfinite(ratio):
+            raise ValueError(f"turning ratio {ratio} over period {period!r} is not finite")
         ratio = rationalize(ratio)
 
     if ratio is None:
@@ -182,7 +181,7 @@ def turning_number(curve: SampledCurve) -> int:
     """Net count of full tangent turns along a closed curve (endpoint gap at most 1e-3)."""
     gap = curve.endpoint_gap
     if gap > 1e-3:
-        raise NotClosedError(f"endpoint gap {gap:.3e} exceeds tolerance 1.0e-03")
+        raise ValueError(f"endpoint gap {gap:.3e} exceeds tolerance 1.0e-03")
     d1, _ = derivatives(curve.params, curve.points)
     angles = np.unwrap(np.arctan2(d1[:, 1], d1[:, 0]))
     return round((angles[-1] - angles[0]) / TWO_PI)

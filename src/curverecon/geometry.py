@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DegenerateFrameError",
     "EquiAffineMap",
     "RigidMotion",
     "SampledCurve",
@@ -26,10 +25,6 @@ __all__ = [
     "resample_by_rate",
     "sup_norm",
 ]
-
-
-class DegenerateFrameError(ValueError):
-    """Raised when a start frame cannot be formed (non-regular parametrization)."""
 
 
 def _inv2(m: np.ndarray) -> np.ndarray:
@@ -264,9 +259,7 @@ def normalize_to_standard_frame(curve: SampledCurve, mode: str = "euclidean"):
     if mode == "euclidean":
         speed = float(np.hypot(*d1))
         if speed < 1e-9:
-            raise DegenerateFrameError(
-                f"zero tangent at parameter {curve.params[0]!r}: non-regular parametrization"
-            )
+            raise ValueError(f"zero tangent at parameter {curve.params[0]!r}: non-regular parametrization")
         tang = d1 / speed
         norm = np.array([-tang[1], tang[0]])
         frame = np.array([tang, norm])
@@ -274,9 +267,7 @@ def normalize_to_standard_frame(curve: SampledCurve, mode: str = "euclidean"):
     elif mode == "affine":
         det = d1[0] * d2[1] - d1[1] * d2[0]
         if det < 1e-9:
-            raise DegenerateFrameError(
-                f"start frame determinant {det:.3e} at parameter {curve.params[0]!r}"
-            )
+            raise ValueError(f"start frame determinant {det:.3e} at parameter {curve.params[0]!r}")
         frame = np.array([d1, d2]) / np.sqrt(det)
         g = EquiAffineMap(frame, -curve.points[0] @ _inv2(frame))
     else:

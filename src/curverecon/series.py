@@ -17,7 +17,6 @@ from .curvatures import MonomialCurvature
 from .geometry import SampledCurve
 
 __all__ = [
-    "SeriesTruncationError",
     "b_coefficients",
     "curve",
     "gamma_ratio_check",
@@ -27,10 +26,6 @@ __all__ = [
 ]
 
 TERM_CAP = 100_000
-
-
-class SeriesTruncationError(ValueError):
-    """Requested term tolerance unreachable: past the term cap, or below the sum's round-off."""
 
 
 def truncation_count(mu: MonomialCurvature, alpha_max: float, tol: float = 1e-14) -> int:
@@ -52,9 +47,7 @@ def truncation_count(mu: MonomialCurvature, alpha_max: float, tol: float = 1e-14
         log_term = i * log_c + (K * i + 1) * log_a - math.lgamma(i + 1) - 2 * i * math.log(K)
         if log_term < log_tol and i >= peak:
             return i
-    raise SeriesTruncationError(
-        f"term tolerance {tol:.1e} unreachable within {TERM_CAP} terms at alpha={a!r}"
-    )
+    raise ValueError(f"term tolerance {tol:.1e} unreachable within {TERM_CAP} terms at alpha={a!r}")
 
 
 def tangent_coefficients(mu: MonomialCurvature, alpha_max: float, tol: float = 1e-14):
@@ -76,8 +69,8 @@ def tangent_coefficients(mu: MonomialCurvature, alpha_max: float, tol: float = 1
         log_terms = np.concatenate([[0.0, np.log(a)], np.cumsum(log_step - np.log(j * (j - 1.0))),
                                     np.log(a) + np.cumsum(log_step - np.log(j * (j + 1.0)))])
     if log_terms.max() - 53.0 * math.log(2.0) > math.log(tol):
-        raise SeriesTruncationError(f"series round-off 2^-53 x 10^{log_terms.max() / math.log(10.0):.1f} "
-                                    f"exceeds the term tolerance {tol:.1e} at alpha={a!r}")
+        raise ValueError(f"series round-off 2^-53 x 10^{log_terms.max() / math.log(10.0):.1f} "
+                         f"exceeds the term tolerance {tol:.1e} at alpha={a!r}")
     u = np.empty(m + 1)
     v = np.empty(m + 1)
     u[0] = v[0] = 1.0

@@ -295,9 +295,11 @@ class TestNonFiniteCurvature:
     @pytest.mark.parametrize("argv, at", [
         (("reconstruct", "affine", "--curvature", "<table>", "--domain", "0:100", "--iterations", "300"), 0.244140625),
         (("reconstruct", "euclid", "--curvature", "<table>", "--domain", "0:100"), 0.244140625),
+        (("reconstruct", "euclid", "--curvature", "<table>", "--domain", "0:100", "--samples", "4097"), 0.244140625),
         (("compare", "affine", "<table>", "const:1", "--domain", "0:12"), 0.22265625),
         (("compare", "euclid", "const:1", "<table>", "--domain", "0:12"), 0.22265625),
-    ], ids=["reconstruct-affine", "reconstruct-euclid", "compare-affine", "compare-euclid"])
+    ], ids=["reconstruct-affine", "reconstruct-euclid", "reconstruct-euclid-samples", "compare-affine",
+            "compare-euclid"])
     def test_refused_before_any_sweep(self, capsys, monkeypatch, bad_tables, argv, at, bad):
         calls = []
         for module in (affine, euclidean):
@@ -311,6 +313,38 @@ class TestNonFiniteCurvature:
         assert (code, stdout) == (3, "")
         assert err == f"solver error: curvature {bad} at parameter {at!r} past the domain start is not finite\n"
         assert calls == []
+
+    # the table's trapezoid and const's closed form give the ratio itself; the other two reach the probe
+    # before quadrature, whose nodes on [0, 50] miss the nan stretch around row 10
+    @pytest.mark.parametrize("curvature, period, err", [
+        ("table:<nan>,periodic", "100", "turning ratio nan over period 100.0 is not finite"),
+        ("const:1e308", "100", "turning ratio inf over period 100.0 is not finite"),
+        ("monomial:1,400", "10", "curvature inf at parameter 5.8984375 past the domain start is not finite"),
+        ("table:<nan>,periodic", "50", "curvature nan at parameter 0.23193359375 past the domain start is not finite"),
+    ], ids=["table-ratio", "const-ratio", "monomial-probe", "table-probe"])
+    def test_classify_refused(self, capsys, bad_tables, curvature, period, err):
+        spec = curvature.replace("<nan>", str(bad_tables / "nan.csv"))
+        with np.errstate(over="ignore"):
+            code, stdout, got = run_cli(capsys, "classify", "--curvature", spec, "--period", period)
+        assert (code, stdout, got) == (3, "", f"solver error: {err}\n")
+
+
+class TestSolverRefusals:
+    @pytest.mark.parametrize("argv, err", [
+        (("reconstruct", "affine", "--curvature", "const:2500", "--domain", "0:2"),
+         "tail tolerance 1.0e-10 unreachable within 10000 iterations"),
+        (("reconstruct", "series", "--curvature", "monomial:1,0", "--domain", "0:30"),
+         "series round-off 2^-53 x 10^11.9 exceeds the term tolerance 1.0e-14 at alpha=30.0"),
+        (("reconstruct", "series", "--curvature", "monomial:1,0", "--domain", "0:500", "--tol", "1e-3"),
+         "term tolerance 1.0e-03 unreachable within 100000 terms at alpha=500.0"),
+        (("reconstruct", "euclid", "--curvature", "<table>", "--domain", "0:3"),
+         "value outside table range [0.0, 2.0] and table is not periodic"),
+    ], ids=["picard-iteration-cap", "series-round-off", "series-term-cap", "table-past-its-range"])
+    def test_exit_3_names_the_cause(self, tmp_path, capsys, argv, err):
+        write_table_csv(np.linspace(0.0, 2.0, 41), np.ones(41), tmp_path / "tab.csv")
+        table = f"table:{tmp_path / 'tab.csv'}"
+        code, stdout, got = run_cli(capsys, *(table if a == "<table>" else a for a in argv))
+        assert (code, stdout, got) == (3, "", f"solver error: {err}\n")
 
 
 class TestClassify:

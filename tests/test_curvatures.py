@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from scipy.integrate import quad
 from curverecon.curvatures import (
     BumpPlusOneSquared,
     ConstantCurvature,
-    EvaluationDomainError,
     MonomialCurvature,
     SinePlusBump,
     SinusoidCurvature,
@@ -187,7 +187,8 @@ class TestTable:
 
     def test_extrapolation_needs_periodic_flag(self, tmp_path):
         spec = self.make_table(tmp_path)
-        with pytest.raises(EvaluationDomainError):
+        with pytest.raises(ValueError, match=re.escape(
+                "value outside table range [0.0, 2.0] and table is not periodic")):
             spec(2.5)
 
     def test_periodic_wraps(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestTurningNumber:
 
     def test_open_curve_rejected(self):
         c = euclidean.reconstruct(parse_spec("const:0"), 1.0, 101)
-        with pytest.raises(euclidean.NotClosedError):
+        with pytest.raises(ValueError, match=re.escape("endpoint gap 1.000e+00 exceeds tolerance 1.0e-03")):
             euclidean.turning_number(c)
 
 
