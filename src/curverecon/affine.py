@@ -14,7 +14,7 @@ import numpy as np
 from .geometry import BoundReport, EquiAffineMap, SampledCurve, derivatives, grid_distance, resample_by_rate
 from .geometry import sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
-from .quadrature import cumulative_simpson, finite_values, odd_sample_count, probe
+from .quadrature import GRID_CAP, cumulative_simpson, finite_values, odd_sample_count, probe
 
 __all__ = [
     "PicardResult",
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 ITERATION_CAP = 10_000
-GRID_CAP = 300_001
 WORK_CAP = 50_000_000
 
 
@@ -98,8 +97,6 @@ def conic(mu: float, length: float, n: int) -> SampledCurve:
     Zero curvature gives a parabola, positive an ellipse arc, negative a
     hyperbola arc; all start at the origin with tangent (1,0), normal (0,1).
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
     a = np.linspace(0.0, length, n)
     frames = conic_frames(mu, a)
     # abs keeps the hyperbola's y at a = 0 a +0.0 instead of -0.0
@@ -165,10 +162,6 @@ def _exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def _tail_bound(c: float, length: float, n: int, a0_norm: float) -> float:
-    return _exp_or_inf(_log_tail(c, length, n, a0_norm))
 
 
 def _iterations_for_tol(c: float, length: float, tol: float, a0_norm: float) -> int:
@@ -266,7 +259,7 @@ def picard(
         frames=frames,
         iterations=iterations,
         c=c,
-        tail_bound=_tail_bound(c, length, iterations, a0_norm),
+        tail_bound=_exp_or_inf(_log_tail(c, length, iterations, a0_norm)),
         step_gaps=tuple(gaps),
     )
     return SampledCurve(grid, pts), result
@@ -276,8 +269,8 @@ def frame_determinants(frames: np.ndarray) -> np.ndarray:
     return frames[:, 0, 0] * frames[:, 1, 1] - frames[:, 0, 1] * frames[:, 1, 0]
 
 
-def picard_bounds(c: float, alpha: float, n: int, a0_norm: float = 1.0) -> dict:
-    """The four closed-form iteration bounds, evaluated overflow-safely.
+def picard_bounds(c: float, alpha: float, n: int) -> dict:
+    """The four closed-form iteration bounds from the identity frame, evaluated overflow-safely.
 
     Keys: ``bound_n`` (n-th iterate size), ``bound_a`` (limit size),
     ``bound_step`` (gap between consecutive iterates), ``bound_tail``
@@ -288,21 +281,14 @@ def picard_bounds(c: float, alpha: float, n: int, a0_norm: float = 1.0) -> dict:
         raise ValueError("need c >= 1, alpha >= 0, n >= 0")
     x = c * alpha
     if x == 0.0:
-        return {
-            "bound_n": a0_norm,
-            "bound_a": a0_norm,
-            "bound_step": a0_norm if n == 0 else 0.0,
-            "bound_tail": 0.0,
-        }
+        return {"bound_n": 1.0, "bound_a": 1.0, "bound_step": 1.0 if n == 0 else 0.0, "bound_tail": 0.0}
     log_terms = [i * math.log(x) - math.lgamma(i + 1) for i in range(n + 1)]
     peak = max(log_terms)
-    partial = a0_norm * _exp_or_inf(peak) * math.fsum(math.exp(t - peak) for t in log_terms)
-    step = a0_norm * _exp_or_inf(n * math.log(x) - math.lgamma(n + 1))
     return {
-        "bound_n": partial,
-        "bound_a": a0_norm * _exp_or_inf(x),
-        "bound_step": step,
-        "bound_tail": _tail_bound(c, alpha, n, a0_norm),
+        "bound_n": _exp_or_inf(peak) * math.fsum(math.exp(t - peak) for t in log_terms),
+        "bound_a": _exp_or_inf(x),
+        "bound_step": _exp_or_inf(n * math.log(x) - math.lgamma(n + 1)),
+        "bound_tail": _exp_or_inf(_log_tail(c, alpha, n, 1.0)),
     }
 
 
@@ -317,9 +303,7 @@ def frame_divergence_bound(mu1, mu2, length: float) -> float:
     delta, c_hat = _probe_gap(mu1, mu2, length)
     if delta == 0.0:
         return 0.0
-    if c_hat * length > 700.0:
-        return math.inf
-    return delta * length * math.exp(c_hat * length)
+    return delta * length * _exp_or_inf(c_hat * length)
 
 
 def bound_check(mu1, mu2, length: float) -> BoundReport:

@@ -9,6 +9,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import affine, euclidean, series
 from .curvatures import MonomialCurvature, SpecParseError, parse_spec_cli
 from .curveio import (
@@ -171,6 +173,8 @@ def _join_negative_domain(argv):
     return out
 
 
+# a non-finite value is refused or printed as null, so numpy's floating-point warnings would only add noise
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_negative_domain(sys.argv[1:] if argv is None else argv))
     try:

@@ -141,7 +141,8 @@ class BumpPlusOneSquared(CurvatureSpec):
     r: Fraction
 
     def __call__(self, t):
-        return (float(self.r) * pi) ** 2 * (bump(np.mod(np.asarray(t, dtype=float), 2.0)) + 1.0) ** 2
+        # np.float64: a scale past double range becomes inf, which the probe refuses, not an OverflowError
+        return (np.float64(float(self.r)) * pi) ** 2 * (bump(np.mod(np.asarray(t, dtype=float), 2.0)) + 1.0) ** 2
 
 
 @dataclass(frozen=True)

@@ -124,12 +124,11 @@ def _svg_coords(points, scale, x0, y0, xmin, ymax):
 def emit_svg(curves, path) -> None:
     """Write a 640x480 SVG 1.1 plot; identical input produces identical bytes.
 
-    ``curves`` holds curves or ``(curve, label)`` pairs, drawn with equal-aspect
-    scaling (geometry is never sheared); a legend lists the labels, escaped.
+    ``curves`` holds ``(curve, label)`` pairs, drawn with equal-aspect scaling
+    (geometry is never sheared); a legend lists the non-empty labels, escaped.
     """
     if not curves:
         raise ValueError("nothing to plot")
-    curves = [(c, "") if isinstance(c, SampledCurve) else (c[0], c[1]) for c in curves]
     pts = np.concatenate([c.points for c, _ in curves])
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)

@@ -101,11 +101,10 @@ def arclength_reparametrize(curve: SampledCurve) -> SampledCurve:
     return resample_by_rate(curve, lambda ts: np.hypot(*dspline(ts).T))
 
 
-def rationalize(x: float, max_denominator: int = 10**6, tol: float = 1e-8) -> Fraction | None:
-    """Smallest-denominator continued-fraction convergent of ``x`` within ``tol``.
+def rationalize(x: float) -> Fraction | None:
+    """Smallest-denominator continued-fraction convergent of ``x`` within 1e-8.
 
-    Returns None when no convergent with denominator <= ``max_denominator``
-    comes within ``tol``.
+    Returns None when no convergent with denominator <= 10^6 comes within 1e-8.
     """
     if not math.isfinite(x):
         return None
@@ -114,9 +113,9 @@ def rationalize(x: float, max_denominator: int = 10**6, tol: float = 1e-8) -> Fr
     for _ in range(64):
         a = math.floor(r)
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > max_denominator:
+        if q1 > 10**6:
             return None
-        if abs(x - p1 / q1) <= tol:
+        if abs(x - p1 / q1) <= 1e-8:
             return Fraction(p1, q1)
         frac = r - a
         if frac == 0.0:

@@ -49,10 +49,6 @@ class EquiAffineMap:
         object.__setattr__(self, "linear", m)
         object.__setattr__(self, "translation", v)
 
-    @classmethod
-    def identity(cls) -> "EquiAffineMap":
-        return cls(np.eye(2), np.zeros(2))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         return p @ _inv2(self.linear) + self.translation
@@ -160,15 +156,6 @@ def sup_norm(values) -> float:
     return float(np.abs(v).max())
 
 
-def _as_points(obj) -> np.ndarray:
-    if isinstance(obj, SampledCurve):
-        return obj.points
-    p = np.asarray(obj, dtype=float)
-    if p.ndim == 1:
-        p = p.reshape(1, 2)
-    return p
-
-
 def _min_dist_to_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """For each point, min distance to any segment [a_j, b_j]; ``a`` and ``b`` are
     (segments, 2), shared by every point, or (points, segments, 2), one set per point."""
@@ -182,8 +169,6 @@ def _min_dist_to_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
 
 
 def _directed_hausdorff(p: np.ndarray, q: np.ndarray) -> float:
-    if q.shape[0] == 1:
-        return float(np.hypot(*(p - q[0]).T).max())
     from scipy.spatial import cKDTree
 
     # the distance to the two segments at a point's nearest vertex bounds its distance
@@ -204,10 +189,9 @@ def _directed_hausdorff(p: np.ndarray, q: np.ndarray) -> float:
     return max(best, 0.0)
 
 
-def hausdorff_distance(p, q) -> float:
-    """Hausdorff distance between two polylines (point-to-segment both ways)."""
-    pp, qq = _as_points(p), _as_points(q)
-    return max(_directed_hausdorff(pp, qq), _directed_hausdorff(qq, pp))
+def hausdorff_distance(c1: SampledCurve, c2: SampledCurve) -> float:
+    """Hausdorff distance between the polylines of two curves (point-to-segment both ways)."""
+    return max(_directed_hausdorff(c1.points, c2.points), _directed_hausdorff(c2.points, c1.points))
 
 
 def grid_distance(c1: SampledCurve, c2: SampledCurve) -> float:

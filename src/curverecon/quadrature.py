@@ -8,6 +8,8 @@ the integral of the local quadratic over the leading half of the pair.
 
 import numpy as np
 
+GRID_CAP = 300_001  # the most nodes an affine (Picard or series) grid may have
+
 
 def odd_sample_count(n: int) -> int:
     """Smallest odd count >= n (Simpson pairs need an even interval count)."""

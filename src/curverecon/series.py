@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .affine import GRID_CAP
 from .curvatures import MonomialCurvature
 from .geometry import SampledCurve
+from .quadrature import GRID_CAP
 
 __all__ = [
     "b_coefficients",
@@ -81,13 +81,9 @@ def tangent_coefficients(mu: MonomialCurvature, alpha_max: float, tol: float = 1
 
 
 def _eval_lines(alpha, K, coeffs, shift):
-    """sum_i coeffs[i] * alpha^(K i + shift), vectorized via Horner in alpha^K."""
+    """sum_i coeffs[i] * alpha^(K i + shift), by Horner's rule in alpha^K."""
     a = np.asarray(alpha, dtype=float)
-    z = a**K
-    acc = np.zeros_like(a)
-    for ci in coeffs[::-1]:
-        acc = acc * z + ci
-    return acc * a**shift
+    return np.polynomial.polynomial.polyval(a**K, coeffs) * a**shift
 
 
 def tangent(mu: MonomialCurvature, alpha, tol: float = 1e-14):
@@ -99,9 +95,7 @@ def tangent(mu: MonomialCurvature, alpha, tol: float = 1e-14):
 
 
 def curve(mu: MonomialCurvature, length: float, n: int, tol: float = 1e-14) -> SampledCurve:
-    """Curve from termwise integration of the tangent series, origin (0,0), n <= affine.GRID_CAP."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    """Curve from termwise integration of the tangent series, origin (0,0), n <= GRID_CAP."""
     if n > GRID_CAP:
         raise ValueError(f"{n} samples exceed the cap of {GRID_CAP}")
     u, v = tangent_coefficients(mu, length, tol)

@@ -320,8 +320,8 @@ class TestFixedPointExit:
 
 class TestPicardBounds:
     def test_zero_argument(self):
-        b = affine.picard_bounds(1.0, 0.0, 3, a0_norm=2.0)
-        assert b["bound_a"] == 2.0
+        b = affine.picard_bounds(1.0, 0.0, 3)
+        assert b["bound_a"] == 1.0
         assert b["bound_step"] == 0.0 and b["bound_tail"] == 0.0
 
     def test_tail_value_frozen(self):

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,10 @@ from hypothesis import strategies as st
 from curverecon import affine, cli, euclidean
 from curverecon.curveio import read_curve_csv, write_table_csv
 from curverecon.geometry import BoundReport, grid_distance, hausdorff_distance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# numpy warnings raised as errors: pytest records warnings apart from capsys, so a leak would pass unseen
+no_runtime_warning = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run_cli(capsys, *argv):
@@ -184,11 +191,11 @@ class TestReconstruct:
                              "--curvature", "const:1", "--domain", "0:1", "--samples", "8")
         assert code == 2
 
+    @no_runtime_warning
     def test_overflowing_curvature_exits_3(self, capsys):
         # monomial:1,400 overflows to inf past t = 5.89 on [0, 10]: the probe refuses it before any grid is built
-        with np.errstate(over="ignore"):
-            code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
-                                        "--curvature", "monomial:1,400", "--domain", "0:10")
+        code, stdout, err = run_cli(capsys, "reconstruct", "euclid",
+                                    "--curvature", "monomial:1,400", "--domain", "0:10")
         assert code == 3
         assert stdout == ""
         assert err == "solver error: curvature inf at parameter 5.8984375 past the domain start is not finite\n"
@@ -218,11 +225,11 @@ class TestReconstruct:
         assert summary["tail_bound"] is None
         assert summary["samples"] == 300001
 
+    @no_runtime_warning
     def test_overflowing_fixed_sweep_grid_exits_3(self, capsys):
         # 32 L sqrt(c) / pi is inf here; the grid takes the cap and the curve overflows
-        with np.errstate(all="ignore"):
-            code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "const:1",
-                                        "--domain", "0:1e308", "--iterations", "1")
+        code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "const:1",
+                                    "--domain", "0:1e308", "--iterations", "1")
         assert code == 3
         assert stdout == ""
         assert err.startswith("solver error:")
@@ -322,11 +329,20 @@ class TestNonFiniteCurvature:
         ("monomial:1,400", "10", "curvature inf at parameter 5.8984375 past the domain start is not finite"),
         ("table:<nan>,periodic", "50", "curvature nan at parameter 0.23193359375 past the domain start is not finite"),
     ], ids=["table-ratio", "const-ratio", "monomial-probe", "table-probe"])
+    @no_runtime_warning
     def test_classify_refused(self, capsys, bad_tables, curvature, period, err):
         spec = curvature.replace("<nan>", str(bad_tables / "nan.csv"))
-        with np.errstate(over="ignore"):
-            code, stdout, got = run_cli(capsys, "classify", "--curvature", spec, "--period", period)
+        code, stdout, got = run_cli(capsys, "classify", "--curvature", spec, "--period", period)
         assert (code, stdout, got) == (3, "", f"solver error: {err}\n")
+
+    def test_stderr_holds_only_the_refusal(self, tmp_path):
+        # a fresh interpreter with Python's default warning filters, as a user's shell runs the CLI
+        child = "import sys; sys.path.insert(0, sys.argv[1]); from curverecon import cli; sys.exit(cli.main(sys.argv[2:]))"
+        proc = subprocess.run([sys.executable, "-E", "-s", "-c", child, str(SRC),
+                               "classify", "--curvature", "monomial:1,400", "--period", "10"],
+                              cwd=tmp_path, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr == b"solver error: curvature inf at parameter 5.8984375 past the domain start is not finite\n"
 
 
 class TestSolverRefusals:
@@ -414,10 +430,10 @@ class TestCompare:
         assert stdout == ""
         assert err.startswith("error:") and "linf" in err
 
+    @no_runtime_warning
     def test_overflowing_curvature_exits_3(self, capsys):
-        with np.errstate(over="ignore"):
-            code, stdout, err = run_cli(capsys, "compare", "euclid", "monomial:1,400", "sin",
-                                        "--domain", "0:10")
+        code, stdout, err = run_cli(capsys, "compare", "euclid", "monomial:1,400", "sin",
+                                    "--domain", "0:10")
         assert code == 3
         assert stdout == ""
         assert err == "solver error: curvature inf at parameter 5.8984375 past the domain start is not finite\n"
@@ -453,12 +469,18 @@ _NUMBER = st.one_of(
     st.integers(-3, 3).map(str),
     st.fractions(-3, 3, max_denominator=3).map(_exact),
     st.floats(-3, 3).map(repr),
+    st.floats(-1e308, 1e308).map(repr),
 )
+# ratios near the ends of the float range: 150 to 320 digits (past 309 a parse error), and their reciprocals
+_HUGE = st.integers(10**149, 10**320 - 1)
+_RATIO = st.one_of(_HUGE.map(str), _HUGE.map("1/{}".format))
 _SPEC = st.one_of(
     _NUMBER.map("const:{}".format),
     st.lists(_NUMBER, min_size=3, max_size=3).map(lambda xs: "sinusoid:" + ",".join(xs)),
     st.fractions(-3, 3, max_denominator=3).map(lambda r: "kn:" + _exact(r)),
     st.fractions(-1, 1, max_denominator=3).map(lambda r: "mun:" + _exact(r)),
+    _RATIO.map("kn:{}".format),
+    _RATIO.map("mun:{}".format),
     st.tuples(_NUMBER, st.integers(0, 3)).map(lambda t: f"monomial:{t[0]},{t[1]}"),
     st.sampled_from(["sin", "table:<table>", "table:<table>,periodic", "table:<dir>/absent.csv"]),
     # malformed text; a leading '-' would be read by argparse as an option
@@ -516,6 +538,13 @@ def table_dir(tmp_path_factory):
 @example(argv=["compare", "affine", "const:1", "const:1", "--domain=0:5e-324"])
 @example(argv=["reconstruct", "euclid", "--curvature=const:1", "--domain", "-1:1"])
 @example(argv=["reconstruct", "euclid", "--curvature=const:1", "--domain=0:1", "--tol=1e-3"])
+@example(argv=["reconstruct", "affine", f"--curvature=mun:{10**155}", "--domain=0:1"])
+@example(argv=["compare", "euclid", f"mun:{10**155}", "const:1", "--domain=0:1"])
+@example(argv=["classify", f"--curvature=mun:{10**155}", "--period=2"])
+@example(argv=["reconstruct", "euclid", "--curvature=sinusoid:1e308,1e308,1e308", "--domain=0:1"])
+@example(argv=["reconstruct", "euclid", "--curvature=sinusoid:1e308,1e308,0", "--domain=0:1", "--samples=17"])
+@example(argv=["compare", "affine", f"kn:1/{10**300}", "const:1", "--domain=0:1"])
+@no_runtime_warning
 def test_cli_exits_with_a_documented_code(table_dir, argv):
     """Any request over the grammar ends in an exit code from {0, 2, 3, 4}, never a traceback.
 
@@ -523,7 +552,7 @@ def test_cli_exits_with_a_documented_code(table_dir, argv):
     """
     argv = [a.replace("<table>", str(table_dir / "k.csv")).replace("<dir>", str(table_dir)) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4)
     if code in (2, 3):

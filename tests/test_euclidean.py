@@ -124,11 +124,11 @@ class TestRationalize:
         assert euclidean.rationalize(1.0 / 3.0 + 1e-12) == Fraction(1, 3)
 
     def test_prefers_smallest_denominator(self):
-        assert euclidean.rationalize(1.0 / 3.0 + 1e-9, tol=1e-8) == Fraction(1, 3)
+        assert euclidean.rationalize(1.0 / 3.0 + 1e-9) == Fraction(1, 3)
 
     def test_out_of_reach(self):
         # within the denominator cap nothing approximates this to 1e-8
-        assert euclidean.rationalize(1.0 / 3.0 + 1e-7, max_denominator=100, tol=1e-8) is None
+        assert euclidean.rationalize(1.0 / 3.0 + 1e-7) is None
 
 
 class TestClassify:

@@ -1,16 +1,19 @@
-"""Pinned SHA-256 digests of the gallery SVGs, of CLI SVG/CSV output and of the demos' stdout.
+"""Pinned SHA-256 digests of the gallery SVGs, of CLI SVG/CSV output, of the demos' stdout and of the benchmark's traffic.
 
 c10 checks that two runs of the same code agree; this checks that the bytes
 do not change from one version of the code to the next.  A digest that moves
 means a figure or an output file changed: regenerate it on purpose, look at
 the difference, and update the digest in the same change (``gallery_digests``,
-``cli_digests`` and ``demo_digests`` return the current ones).
+``cli_digests``, ``demo_digests`` and ``traffic_digests`` return the current ones).
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -48,6 +51,41 @@ DEMOS = {
     "05_monomial_series.py": "cd96fbca06076448f62025622d4c1fb816da025ec78785491bb333148deeecdb",
 }
 
+# every request class of perfbench/workloads.py at seed TRAFFIC_SEED: exit code, stdout, stderr and output files
+TRAFFIC_SEED = 1
+TRAFFIC = {
+    "affine-recon/mun25_L10": "15c9e5f7b21ea339d8c71ec0b1435274eaddf040f6d44a9ff0d69cef76ed10f1",
+    "affine-recon/mun25_L2": "e48ab4b7b71a6163d47a58c3f025c09c4754c3ff9334c33719064842ad626f0b",
+    "affine-recon/mun35_L4": "0aeec570bc0660d5d04b0b6892b584ca39b05d6e878f2bbac188b4929c80e1f9",
+    "affine-recon/readme_L22": "cc50245173325a3771b29cc23a90d013dd1d4f434daf5a615b772553c11d8eff",
+    "affine-recon/const3": "db5b60e4fbc597c7e618366523b2868b1dabad6ba52595c61c58330a1839f0ff",
+    "affine-recon/const0": "9eb874e0a653030a82a60e9c3ad269bfcb9dba79423a284f475751a0196a83b1",
+    "affine-recon/const2": "99fcfd5508340401cfa50484ea63e4a0072feac3767c18522667e0607b73ccaa",
+    "affine-recon/mono11": "77dc51a4a6f1af37e076dc5fa1280494bafbf8072391d1c3a0bef7aaf5c9741d",
+    "affine-recon/series11": "db8651d8aa9bd91b5541f5c03326b0fa04131dd6f61731b675517c26b9003d4f",
+    "affine-recon/mono12": "e3079d741248bfa51a2845d3c41e9a9edfcfc150f5a5fac47bb6352df419a0e9",
+    "affine-recon/series12": "0e21975c3a081e4f4da83c11442565af604d6cce263dd940de2af8b0cf6a7ebd",
+    "compare/euclid_linf_kn10": "8f9431bf0de9dd44747f7ae4a91cbb7be570d6b1e8ef7828f0cefff408f104e5",
+    "compare/euclid_l1_kn10": "b19da68da740f6eecc0abf2d07013c1ceb952e94d94cde03452958095698e081",
+    "compare/euclid_linf_kn20": "3a53f34466a8279337a736b9b50ce927041d3184c3ef9ca0bc8efcaef7f1fd3a",
+    "compare/euclid_l1_kn20": "e4850d621a6ec9021a6d2938d89a218792b34fbf64c768c6f47708bae3a874cc",
+    "compare/euclid_linf_kn40": "53eab472e681bb9697d43376897a00a25882e67a8a01f7985937856348f864ee",
+    "compare/euclid_l1_kn40": "0a7285b6b21366b6616aa42d80d1420e40d617cb388413bb6778d5c47fd54525",
+    "compare/affine_const2": "e3608f2a56b043df97fa9bc739427552e31fc6908e2338d9d6f17ead95a43028",
+    "compare/affine_const1": "541ebe461cc8b00d70c3329042c8e73117da0e3126465004b1f4569a30b33305",
+    "compare/affine_mun": "04c6ec8dc60dc647ae1823172997c66ac21c7724248888033a6bbe31b5038dbe",
+    "euclid-io/closed_1e6": "c16d7279ba573e3bc8f3f82a1db9451d71940b023c2139cab26e19715e95d31c",
+    "euclid-io/kn_out": "5ca45caf90d98923c6706c717771327bfd7254ec39cf8cd80e1daf5061b465c4",
+    "euclid-io/open_out": "b284feb19aa1d094acaeead0b045e21a75834a8adf6f012e26ca0a183f419ee5",
+    "euclid-io/table_read": "ef444575c7c46454724a10ec5846ae03e62558abe9dafa9e51e0954797da8f79",
+    "euclid-io/classify_kn_frac": "fbf0aa2787a47d9b571381f36fb7c7cae1848492a17a5892dd018481b2330beb",
+    "euclid-io/classify_kn_int": "2d92c679a21fcb44c5a5089d89ef5b5476e3b0649567fcbed106d7974865d0a3",
+    "euclid-io/classify_sin_closed": "1a827242b7226dbbaee7feb888bf02b1a49129fe8fd6f0569c9486397b93a765",
+    "euclid-io/classify_sin_open": "83d954a20251bd8a896efcbaa46e78be4a571679d62fb4b753b4069b87fd0400",
+    "euclid-io/bad_spec": "ba3372ffd982729f450e10888e7a86804da0225abb87935460632b03538b51d3",
+    "euclid-io/bad_domain": "c0085f5fb66c6f05c8f4daf57531295440ba8480fcdcf7b9733c5083a69a5591",
+}
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -83,6 +121,32 @@ def demo_digests() -> dict:
     return digests
 
 
+def _perfbench_workloads():
+    """perfbench/workloads.py as it is; its ``import oracles`` finds perfbench/oracles.py."""
+    bench = str(REPO / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(bench)
+    return module
+
+
+def traffic_digests(outdir: Path) -> dict:
+    """Each benchmark request class built as the benchmark builds it and run in process through ``cli.main``."""
+    digests = {}
+    for name, build in _perfbench_workloads().WORKLOADS.items():
+        for cls, request in build(random.Random(TRAFFIC_SEED), str(outdir)).requests.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(list(request.argv))
+            record = [code, out.getvalue(), err.getvalue(), [_sha256(Path(p)) for p in request.outputs]]
+            digests[f"{name}/{cls}"] = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    return digests
+
+
 def test_gallery_svgs_are_golden(tmp_path):
     assert gallery_digests(tmp_path) == GALLERY
 
@@ -93,3 +157,7 @@ def test_cli_outputs_are_golden(tmp_path):
 
 def test_demo_stdout_is_golden():
     assert demo_digests() == DEMOS
+
+
+def test_benchmark_traffic_is_golden(tmp_path):
+    assert traffic_digests(tmp_path) == TRAFFIC

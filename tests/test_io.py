@@ -75,7 +75,7 @@ class TestSvg:
 
     def test_unit_circle_bbox_is_square(self, tmp_path):
         path = tmp_path / "c.svg"
-        emit_svg((self.circle(),), path)
+        emit_svg(((self.circle(), ""),), path)
         text = path.read_text()
         coords = re.findall(r"points=\"([^\"]+)\"", text)[0]
         xy = np.array([list(map(float, pair.split(","))) for pair in coords.split()])
@@ -105,11 +105,11 @@ class TestSvg:
     def test_zero_area_rejected(self, tmp_path):
         pt = SampledCurve([0.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="zero-area"):
-            emit_svg((pt,), tmp_path / "z.svg")
+            emit_svg(((pt, ""),), tmp_path / "z.svg")
 
     def test_flat_segment_is_padded_not_rejected(self, tmp_path):
         seg = SampledCurve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
-        emit_svg((seg,), tmp_path / "seg.svg")
+        emit_svg(((seg, ""),), tmp_path / "seg.svg")
         assert (tmp_path / "seg.svg").exists()
 
 
