@@ -3,8 +3,10 @@
 
 Constant affine curvature gives conics in closed form (parabola / ellipse /
 hyperbola for zero / positive / negative values).  For general curvature the
-frame is grown by fixed-point sweeps A_n = A0 + integral(C A_{n-1}); the
-factorial tail bound turns the sweep count into a guaranteed frame error.
+frame is the fixed point of the sweeps A_n = A0 + integral(C A_{n-1}): a
+tol-driven run solves for it in one pass, a run given a sweep count applies
+that many sweeps.  The factorial tail bound of the planned sweep count is a
+guaranteed frame error.
 """
 
 import math
@@ -21,7 +23,7 @@ for mu in (-3.0, 0.0, 2.0):
     curve, result = affine.picard(spec, 2.0, tol=1e-10)
     oracle = affine.conic(mu, 2.0, len(curve))
     det = affine.frame_determinants(result.frames)
-    print(f"mu={mu:+.0f}: sweeps={result.iterations:3d} tail={result.tail_bound:.2e} "
+    print(f"mu={mu:+.0f}: planned sweeps={result.iterations:3d} tail={result.tail_bound:.2e} "
           f"dist-to-closed-form={grid_distance(curve, oracle):.2e} "
           f"max|det-1|={np.abs(det - 1).max():.2e}")
 

@@ -1,9 +1,11 @@
 """Equi-affine arc length and curvature, conic solutions, Picard reconstruction.
 
 The frame rows (affine tangent and normal) satisfy a linear ODE whose
-coefficient matrix holds the affine curvature.  Reconstruction runs the
-fixed-point iteration ``A_n = A0 + integral(C * A_{n-1})`` with a certified
-a-priori tail bound, so the returned frames carry a guaranteed error.
+coefficient matrix holds the affine curvature.  Reconstruction targets the
+fixed point of the iteration ``A_n = A0 + integral(C * A_{n-1})`` (Simpson
+on the grid) with a certified a-priori tail bound, so the returned frames
+carry a guaranteed error.  A tol-driven run solves for that fixed point in
+one pass; a run given only a sweep count applies exactly that many sweeps.
 """
 
 import math
@@ -133,11 +135,11 @@ class PicardResult:
     """Converged frames plus the certified truncation data of the run.
 
     The frames sit on the grid of the returned curve, ``curve.params``.
-    ``iterations`` is the planned sweep count that ``tail_bound`` certifies, and
-    ``step_gaps`` has one entry per planned sweep.  When a sweep returned its
-    input bit for bit the run stopped there; the zero gaps after it are exact,
-    since each skipped sweep would have returned the same frames.  ``frames`` is entry-major, an
-    ``(n, 2, 2)`` view of a C-ordered ``(2, 2, n)`` array, so each sweep works on runs of n nodes.
+    ``iterations`` is the planned sweep count whose a-priori ``tail_bound`` covers
+    the truncation.  A run that sweeps records one ``step_gaps`` entry per sweep; a
+    direct solve of the sweeps' fixed point runs none and leaves ``step_gaps`` empty.
+    ``frames`` is entry-major, an ``(n, 2, 2)`` view of a C-ordered ``(2, 2, n)``
+    array, so each sweep works on runs of n nodes.
     """
 
     frames: np.ndarray
@@ -173,7 +175,10 @@ def _iterations_for_tol(c: float, length: float, tol: float, a0_norm: float) -> 
 
 
 def _plan(c: float, length: float, a0_norm: float, n_grid=None, iterations=None, tol=None):
-    """``(iterations, n_grid)`` of one Picard run, fixed before any sweep.
+    """``(iterations, n_grid, sweeps_only)`` of one Picard run, fixed before any work.
+
+    ``sweeps_only`` (``iterations`` given, ``tol`` not) asks for exactly that many sweeps;
+    every other run solves for their fixed point directly.
 
     Sweeps: ``iterations``, else the first count whose tail bound is below ``tol`` (1e-10).
     Grid: ``n_grid``, else 32 L sqrt(c) / pi nodes when only ``iterations`` is given, else
@@ -201,7 +206,50 @@ def _plan(c: float, length: float, a0_norm: float, n_grid=None, iterations=None,
     n_grid = odd_sample_count(max(int(n_grid), 17))
     if iterations * n_grid > WORK_CAP:
         raise ValueError(f"{iterations} sweeps x {n_grid} nodes exceed the work cap of {WORK_CAP}")
-    return iterations, n_grid
+    return iterations, n_grid, sweeps_only
+
+
+# the sweeps converge while h^2 max|mu| stays below this root of 9 - 3s - s^2 (see _fixed_point_frames)
+_STEP_CURVATURE_LIMIT = (3.0 * math.sqrt(5.0) - 3.0) / 2.0
+
+
+def _fixed_point_frames(mu_vals: np.ndarray, h: float, A0: np.ndarray) -> np.ndarray:
+    """The frames that Picard's Simpson sweeps converge to, in one pass, entry-major.
+
+    The fixed point solves, on each node pair (2j, 2j+1, 2j+2), the 3-stage
+    Lobatto IIIA collocation equations with step 2h (Hairer & Wanner, *Solving
+    ODEs II*, IV.5), which are linear: A_{2j+2} = T_j A_{2j} and A_{2j+1} = S_j A_{2j}
+    in closed form, with D = h^4 mu1 mu2 + 3 h^2 mu1 + 9.  Below
+    _STEP_CURVATURE_LIMIT every D >= 9 - 3s - s^2 > 0 (s = h^2 max|mu|).  The even
+    frames are the prefix products T_j ... T_0 A0, by doubling (Blelloch 1990).
+    """
+    p0, p1, p2 = (h * h) * mu_vals[0:-2:2], (h * h) * mu_vals[1:-1:2], (h * h) * mu_vals[2::2]
+    d = p1 * p2 + 3.0 * p1 + 9.0
+    # pair maps T as a (2, 2, m) array; T_0 carries A0, so the products are the frames themselves
+    maps = np.empty((2, 2, d.size))
+    maps[0, 0] = (p0 * p1 - 6.0 * p0 - 9.0 * p1 + 9.0) / d
+    maps[0, 1] = -6.0 * h * (p1 - 3.0) / d
+    maps[1, 0] = (2.0 * (p0 * p1 + p0 * p2 + p1 * p2) - 3.0 * p0 - 12.0 * p1 - 3.0 * p2) / (h * d)
+    maps[1, 1] = (p1 * p2 - 9.0 * p1 - 6.0 * p2 + 9.0) / d
+    maps[:, :, 0] = maps[:, :, 0] @ A0
+    k = 1
+    while k < d.size:  # inclusive prefix products: each later map multiplies from the left
+        prod = maps[:, 0:1, k:] * maps[0, :, :-k]
+        prod += maps[:, 1:2, k:] * maps[1, :, :-k]
+        maps[:, :, k:] = prod
+        k *= 2
+
+    frames = np.empty((2, 2, mu_vals.size))
+    frames[:, :, 0] = A0
+    frames[:, :, 2::2] = maps
+    before = frames[:, :, 0:-1:2]
+    s00 = (36.0 - 2.0 * p0 * p2 - 9.0 * p0 + 3.0 * p2) / (4.0 * d)
+    s01 = 1.5 * h * (p2 + 6.0) / d
+    s10 = (p0 * p1 - 2.0 * p0 * p2 - 5.0 * p1 * p2 - 15.0 * p0 - 24.0 * p1 + 3.0 * p2) / (4.0 * h * d)
+    s11 = (3.0 - p1) * (p2 + 6.0) / (2.0 * d)
+    frames[0, :, 1::2] = s00 * before[0] + s01 * before[1]
+    frames[1, :, 1::2] = s10 * before[0] + s11 * before[1]
+    return frames.transpose(2, 0, 1)
 
 
 def picard(
@@ -212,18 +260,18 @@ def picard(
     tol: float | None = None,
     pose: EquiAffineMap | None = None,
 ):
-    """Reconstruct a curve from its affine curvature by fixed-point sweeps.
+    """Reconstruct a curve from its affine curvature by Picard iteration.
 
-    Stops after ``iterations`` sweeps when given, otherwise at the first
-    count whose a-priori tail bound drops below ``tol`` (default 1e-10);
-    :func:`_plan` sets the sweeps and grid and refuses over-cap runs before
-    any work.  A sweep is a pure function of the frames, so once one returns
-    its input bit for bit (a fixed point) the remaining sweeps are skipped:
-    they would return the same bytes, and their gaps are recorded as the
-    exact zeros they are.  Without ``pose`` the curve has canonical initial
-    data (origin, identity frame); with it, the initial frame is the inverse
-    of ``pose``'s linear part and the curve starts at its translation, which
-    is ``pose`` applied to the canonical curve.  Returns the curve and a
+    With ``iterations`` and no ``tol``, applies exactly that many sweeps.
+    Otherwise returns the sweeps' fixed point, solved in one pass by
+    :func:`_fixed_point_frames`; ``iterations`` is then the count whose a-priori
+    tail bound drops below ``tol`` (default 1e-10), given or planned, and a grid
+    with h^2 max|mu| >= _STEP_CURVATURE_LIMIT, on which the sweeps would diverge,
+    is refused.  :func:`_plan` sets the sweeps and grid and refuses over-cap runs
+    before any work.  Without ``pose`` the curve has canonical initial data
+    (origin, identity frame); with it, the initial frame is the inverse of
+    ``pose``'s linear part and the curve starts at its translation, which is
+    ``pose`` applied to the canonical curve.  Returns the curve and a
     :class:`PicardResult` carrying the certified ``tail_bound`` of the planned count.
     """
     if length <= 0:
@@ -232,27 +280,34 @@ def picard(
     a0_norm = sup_norm(A0)
 
     c = max(1.0, sup_norm(probe(mu, length)))
-    iterations, n_grid = _plan(c, length, a0_norm, n_grid, iterations, tol)
+    iterations, n_grid, sweeps_only = _plan(c, length, a0_norm, n_grid, iterations, tol)
 
     grid = np.linspace(0.0, length, n_grid)
     h = grid[1] - grid[0]
     mu_vals = finite_values(mu, grid)  # a NaN can sit between the probe's nodes
-    c = max(1.0, float(np.abs(mu_vals).max()), c)
+    mu_max = float(np.abs(mu_vals).max())
+    c = max(1.0, mu_max, c)
 
-    frames = np.empty((2, 2, n_grid)).transpose(2, 0, 1)
-    frames[...] = A0
-    base = A0[None, :, :]
     gaps = []
-    ca = np.empty_like(frames)
-    for _ in range(iterations):
-        ca[:, 0, :] = frames[:, 1, :]
-        ca[:, 1, :] = -mu_vals[:, None] * frames[:, 0, :]
-        new = base + cumulative_simpson(ca, h)
-        gaps.append(float(np.abs(new - frames).max()))
-        if gaps[-1] == 0.0 and np.array_equal(new.view(np.int64), frames.view(np.int64)):
-            break  # a fixed point: every later sweep returns these bytes
-        frames = new
-    gaps.extend([0.0] * (iterations - len(gaps)))
+    if sweeps_only:
+        frames = np.empty((2, 2, n_grid)).transpose(2, 0, 1)
+        frames[...] = A0
+        base = A0[None, :, :]
+        ca = np.empty_like(frames)
+        for _ in range(iterations):
+            ca[:, 0, :] = frames[:, 1, :]
+            ca[:, 1, :] = -mu_vals[:, None] * frames[:, 0, :]
+            new = base + cumulative_simpson(ca, h)
+            gaps.append(float(np.abs(new - frames).max()))
+            frames = new
+    else:
+        s = h * h * mu_max
+        if s >= _STEP_CURVATURE_LIMIT:
+            raise ValueError(
+                f"h^2 max|mu| = {s:.6g} on {n_grid} nodes is at least {_STEP_CURVATURE_LIMIT:.6g}, "
+                "where Picard sweeps diverge; use more samples"
+            )
+        frames = _fixed_point_frames(mu_vals, h, A0)
 
     pts = origin + cumulative_simpson(frames[:, 0, :], h)
     result = PicardResult(
@@ -323,9 +378,9 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
         bound = math.sqrt(2.0) * delta * length / c_hat * grow
 
     tol = max(1e-13, min(1e-10, 0.01 * bound)) if bound > 0 else 1e-13
-    n_iter, n_grid = _plan(c_hat, length, 1.0, tol=tol)
-    c1, r1 = picard(mu1, length, n_grid=n_grid, iterations=n_iter)
-    c2, r2 = picard(mu2, length, n_grid=n_grid, iterations=n_iter)
+    n_iter, n_grid, _ = _plan(c_hat, length, 1.0, tol=tol)
+    c1, r1 = picard(mu1, length, n_grid=n_grid, iterations=n_iter, tol=tol)
+    c2, r2 = picard(mu2, length, n_grid=n_grid, iterations=n_iter, tol=tol)
     measured = grid_distance(c1, c2)
     floor = max(1e-12, 2.0 * length * (r1.tail_bound + r2.tail_bound))
     return BoundReport(

@@ -269,15 +269,16 @@ SHEAR = EquiAffineMap(np.array([[1.0, 0.75], [0.0, 1.0]]), np.array([0.5, -2.0])
 
 
 class TestFixedPointExit:
+    # the tol-driven cases run the grid and sweep count that tol=1e-10 plans, as a sweeps-only run
     @pytest.mark.parametrize("spec, length, kwargs, fixed_at", [
-        ("mun:2/5", 2.0, {"tol": 1e-10}, 32),  # 59 planned sweeps
-        ("const:2", 2.0, {"tol": 1e-10}, None),  # 26 planned sweeps, every gap positive
+        ("mun:2/5", 2.0, {"n_grid": 3773, "iterations": 59}, 32),
+        ("const:2", 2.0, {"n_grid": 2831, "iterations": 26}, None),  # every gap positive
         ("mun:2/5", 2.0, {"iterations": 0}, None),
-        ("mun:3/5", 4.0, {"tol": 1e-10}, 59),  # 10,985 nodes, 218 planned sweeps
-        ("monomial:1,2", 3.0, {"tol": 1e-10}, 35),  # 111 planned sweeps
-        ("const:-3", 2.0, {"tol": 1e-10}, 29),  # hyperbola, 34 planned sweeps
+        ("mun:3/5", 4.0, {"n_grid": 10985, "iterations": 218}, 59),
+        ("monomial:1,2", 3.0, {"n_grid": 6841, "iterations": 111}, 35),
+        ("const:-3", 2.0, {"n_grid": 3133, "iterations": 34}, 29),  # hyperbola
         ("mun:2/5", 22.0, {"iterations": 200}, None),  # the README curve: gaps cycle at ulp level, never 0
-        ("mun:2/5", 2.0, {"tol": 1e-10, "pose": SHEAR}, 32),
+        ("mun:2/5", 2.0, {"n_grid": 3773, "iterations": 59, "pose": SHEAR}, 32),
     ], ids=["mun-fixed-point", "const-no-fixed-point", "zero-sweeps", "mun35-L4", "monomial12-L3", "hyperbola",
             "readme-L22-cycle", "sheared-pose"])
     def test_bitwise_equal_to_every_planned_sweep(self, spec, length, kwargs, fixed_at):
@@ -296,11 +297,13 @@ class TestFixedPointExit:
             assert gaps[fixed_at - 2] > 0.0 and set(gaps[fixed_at - 1:]) == {0.0}
             assert fixed_at < res.iterations
 
-    def test_sweeps_after_the_fixed_point_are_skipped(self, simpson_calls):
+    def test_simpson_calls_per_path(self, simpson_calls):
+        # a direct solve integrates once, for the points; a sweeps-only run once per sweep and once more
         _, res = affine.picard(parse_spec("mun:2/5"), 2.0, tol=1e-10)
-        assert res.iterations == 59
-        # the 32 sweeps up to the fixed point, then one integration for the points
-        assert len(simpson_calls) == 32 + 1
+        assert (res.iterations, len(simpson_calls)) == (59, 1)
+        simpson_calls.clear()
+        affine.picard(parse_spec("mun:2/5"), 2.0, n_grid=3773, iterations=59)
+        assert len(simpson_calls) == 59 + 1
 
     def test_frames_are_entry_major(self):
         # each entry's n values contiguous: the layout that makes a sweep run over rows of n, not of 4
@@ -316,6 +319,54 @@ class TestFixedPointExit:
         with pytest.raises(ValueError, match=r"^curvature nan at parameter 0\.50015 past the domain start is not finite$"):
             affine.picard(mu, 1.0, n_grid=20001, iterations=3)
         assert simpson_calls == []
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("spec, length, pose", [
+        ("mun:2/5", 2.0, None),
+        ("const:2", 2.0, None),
+        ("mun:3/5", 4.0, None),
+        ("monomial:1,2", 3.0, None),
+        ("const:-3", 2.0, None),
+        ("mun:2/5", 2.0, SHEAR),
+    ], ids=["mun", "const", "mun35-L4", "monomial12-L3", "hyperbola", "sheared-pose"])
+    def test_returns_the_fixed_point_of_the_sweeps(self, spec, length, pose):
+        mu = parse_spec(spec)
+        curve, res = affine.picard(mu, length, tol=1e-10, pose=pose)
+        A0, origin = (np.eye(2), np.zeros(2)) if pose is None else (pose.inverse().linear, pose.translation)
+        grid = curve.params
+        h = grid[1] - grid[0]
+        ca = np.stack([res.frames[:, 1, :], -mu(grid)[:, None] * res.frames[:, 0, :]], axis=1)
+        assert np.abs(A0 + cumulative_simpson(ca, h) - res.frames).max() <= 1e-11
+        frames, points, _ = _planned_sweeps(mu, grid, res.iterations, A0, origin)
+        assert np.abs(res.frames - frames).max() <= 1e-11
+        assert np.abs(curve.points - points).max() <= 1e-11
+        assert np.abs(affine.frame_determinants(res.frames) - 1.0).max() <= 1e-11
+        assert res.frames.transpose(1, 2, 0).flags.c_contiguous
+        assert res.step_gaps == ()
+
+    def test_non_finite_sample_between_probe_nodes_refused_before_any_integration(self, simpson_calls):
+        # the spike of the sweep-path test above, on the tol path
+        def mu(t):
+            return np.where(np.abs(t - 0.50015) < 1e-6, np.nan, 1.0)
+
+        with pytest.raises(ValueError, match=r"^curvature nan at parameter 0\.50015 past the domain start is not finite$"):
+            affine.picard(mu, 1.0, n_grid=20001, tol=1e-10)
+        assert simpson_calls == []
+
+    @pytest.mark.parametrize("spec, s", [("sinusoid:9,0,0", "8.99991"), ("sinusoid:50,0,0", "49.9995")])
+    def test_grid_where_the_sweeps_diverge_is_refused(self, simpson_calls, spec, s):
+        # h = 1 on [0, 16]; the node t = 11 has |sin t| = 0.99999
+        with pytest.raises(ValueError, match=re.escape(f"h^2 max|mu| = {s} on 17 nodes is at least 1.8541,")):
+            affine.picard(parse_spec(spec), 16.0, n_grid=17, tol=1.0)
+        assert simpson_calls == []
+
+    def test_grid_just_below_the_limit_matches_converged_sweeps(self):
+        # h^2 max|mu| = 1.85398, under (3 sqrt 5 - 3) / 2 = 1.85410
+        mu = parse_spec("sinusoid:1.854,0,0")
+        curve, _ = affine.picard(mu, 16.0, n_grid=17, tol=1.0)
+        swept, _ = affine.picard(mu, 16.0, n_grid=17, iterations=1000)
+        assert np.abs(curve.points - swept.points).max() <= 1e-9 * np.abs(swept.points).max()
 
 
 class TestPicardBounds:

@@ -355,12 +355,25 @@ class TestSolverRefusals:
          "term tolerance 1.0e-03 unreachable within 100000 terms at alpha=500.0"),
         (("reconstruct", "euclid", "--curvature", "<table>", "--domain", "0:3"),
          "value outside table range [0.0, 2.0] and table is not periodic"),
-    ], ids=["picard-iteration-cap", "series-round-off", "series-term-cap", "table-past-its-range"])
+        # h = 1 with |mu| up to 9 (50): the sweeps diverge on this grid
+        (("reconstruct", "affine", "--curvature", "sinusoid:9,0,0", "--domain", "0:16", "--samples", "17", "--tol", "1"),
+         "h^2 max|mu| = 8.99991 on 17 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
+        (("reconstruct", "affine", "--curvature", "sinusoid:50,0,0", "--domain", "0:16", "--samples", "17", "--tol", "1"),
+         "h^2 max|mu| = 49.9995 on 17 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
+    ], ids=["picard-iteration-cap", "series-round-off", "series-term-cap", "table-past-its-range",
+            "picard-coarse-grid", "picard-coarse-grid-overflow"])
     def test_exit_3_names_the_cause(self, tmp_path, capsys, argv, err):
         write_table_csv(np.linspace(0.0, 2.0, 41), np.ones(41), tmp_path / "tab.csv")
         table = f"table:{tmp_path / 'tab.csv'}"
         code, stdout, got = run_cli(capsys, *(table if a == "<table>" else a for a in argv))
         assert (code, stdout, got) == (3, "", f"solver error: {err}\n")
+
+    def test_coarse_grid_below_the_limit_exits_0(self, capsys):
+        # h^2 max|mu| = 1.85398, under the limit 1.85410
+        code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "sinusoid:1.854,0,0",
+                                    "--domain", "0:16", "--samples", "17", "--tol", "1")
+        assert (code, err) == (0, "")
+        assert math.isfinite(strict_json(stdout)["endpoint_gap"])
 
 
 class TestClassify:

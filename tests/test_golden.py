@@ -40,30 +40,30 @@ CLI_OUTPUTS = [
     (("reconstruct", "series", "--curvature", "monomial:1,1", "--domain", "0:3"),
      "--svg", "787dfc5faaa78a4bc76a4e4e5b7657372a4ed9777f17a3ea05642677f1f7b10c"),
     (("reconstruct", "affine", "--curvature", "const:2", "--domain", "0:4"),
-     "--out", "7468f057796a17a377ad853f129f805cb175424a61774046571601f65fa283fc"),
+     "--out", "f690d29ac50520a5a6ab5a62612a8bcc81542a35506ef7591c2a15163f8f0c7a"),
 ]
 
 DEMOS = {
     "01_euclidean_reconstruction.py": "296dac5d8f49b4cc66ae66e43798877283a6ac6644b2e8c165de58d8d9e22c93",
     "02_closedness.py": "afb3b12ac3cdcad47617fcf116df86ec3c9e8cabf7760579e996af822c962319",
     "03_distance_bounds.py": "2a70208e81061201ded1feca5f11c80187d3a23976658baf5fde9c198c8499ce",
-    "04_affine_reconstruction.py": "aeafefbc0b8fba1eb212c023d5a88ab6d15abe43d2659054fb0949e501e38a22",
+    "04_affine_reconstruction.py": "cbef0fec62c8f81ec435a5c33977465d1d0c1e44d49b8a5a57f816ccf11a4bd0",
     "05_monomial_series.py": "cd96fbca06076448f62025622d4c1fb816da025ec78785491bb333148deeecdb",
 }
 
 # every request class of perfbench/workloads.py at seed TRAFFIC_SEED: exit code, stdout, stderr and output files
 TRAFFIC_SEED = 1
 TRAFFIC = {
-    "affine-recon/mun25_L10": "15c9e5f7b21ea339d8c71ec0b1435274eaddf040f6d44a9ff0d69cef76ed10f1",
-    "affine-recon/mun25_L2": "e48ab4b7b71a6163d47a58c3f025c09c4754c3ff9334c33719064842ad626f0b",
-    "affine-recon/mun35_L4": "0aeec570bc0660d5d04b0b6892b584ca39b05d6e878f2bbac188b4929c80e1f9",
+    "affine-recon/mun25_L10": "5281891aaa481b628f2124a690fbe3f3473541db2715d43bc9c4b3c57bb7c6b3",
+    "affine-recon/mun25_L2": "5104dd2d622ba0d5e03bff89e35114c51b7551ee9c234a656bbe19f0ae2e533d",
+    "affine-recon/mun35_L4": "449625772ada9f15c9ea9af088ba2fbf0501b4e09ebb2fb4688b7be2f7361ce7",
     "affine-recon/readme_L22": "cc50245173325a3771b29cc23a90d013dd1d4f434daf5a615b772553c11d8eff",
-    "affine-recon/const3": "db5b60e4fbc597c7e618366523b2868b1dabad6ba52595c61c58330a1839f0ff",
-    "affine-recon/const0": "9eb874e0a653030a82a60e9c3ad269bfcb9dba79423a284f475751a0196a83b1",
-    "affine-recon/const2": "99fcfd5508340401cfa50484ea63e4a0072feac3767c18522667e0607b73ccaa",
-    "affine-recon/mono11": "77dc51a4a6f1af37e076dc5fa1280494bafbf8072391d1c3a0bef7aaf5c9741d",
+    "affine-recon/const3": "2a6c9aadf81e65b2b163772c44fc8ae831fba9fe226f282aff093ff4ae0a493b",
+    "affine-recon/const0": "d53e9fa98929c7621305cc943cf905d6faa6627f5bafa1bec2ef19d1bdf492c4",
+    "affine-recon/const2": "a8b877ed8e4f87b128e5f1b86c55f45c021f4cae1b6bbaa4f36c36b7bf5df9a8",
+    "affine-recon/mono11": "22103401acd9609168bb51af316a719b545e0d51e98b6bf022bea853ff6eeec2",
     "affine-recon/series11": "db8651d8aa9bd91b5541f5c03326b0fa04131dd6f61731b675517c26b9003d4f",
-    "affine-recon/mono12": "e3079d741248bfa51a2845d3c41e9a9edfcfc150f5a5fac47bb6352df419a0e9",
+    "affine-recon/mono12": "ec86c6565e15ccfc2542f4b22a62c130bcc0a596eeb17187249249e4a6ea8dd6",
     "affine-recon/series12": "0e21975c3a081e4f4da83c11442565af604d6cce263dd940de2af8b0cf6a7ebd",
     "compare/euclid_linf_kn10": "8f9431bf0de9dd44747f7ae4a91cbb7be570d6b1e8ef7828f0cefff408f104e5",
     "compare/euclid_l1_kn10": "b19da68da740f6eecc0abf2d07013c1ceb952e94d94cde03452958095698e081",
@@ -71,9 +71,9 @@ TRAFFIC = {
     "compare/euclid_l1_kn20": "e4850d621a6ec9021a6d2938d89a218792b34fbf64c768c6f47708bae3a874cc",
     "compare/euclid_linf_kn40": "53eab472e681bb9697d43376897a00a25882e67a8a01f7985937856348f864ee",
     "compare/euclid_l1_kn40": "0a7285b6b21366b6616aa42d80d1420e40d617cb388413bb6778d5c47fd54525",
-    "compare/affine_const2": "e3608f2a56b043df97fa9bc739427552e31fc6908e2338d9d6f17ead95a43028",
-    "compare/affine_const1": "541ebe461cc8b00d70c3329042c8e73117da0e3126465004b1f4569a30b33305",
-    "compare/affine_mun": "04c6ec8dc60dc647ae1823172997c66ac21c7724248888033a6bbe31b5038dbe",
+    "compare/affine_const2": "58dfd0ad40532af53fbbf6bf457f1185952f38d08e3476765ad314ff672f8a58",
+    "compare/affine_const1": "ae760dd0c5b835cc0bd7c2efa4ef28550c3157a61bfa42295511e283a1a672b7",
+    "compare/affine_mun": "b35860ecaf1f26e638b40c06cbe91b2b56ffd151a5dcb77346046b2e731ad076",
     "euclid-io/closed_1e6": "c16d7279ba573e3bc8f3f82a1db9451d71940b023c2139cab26e19715e95d31c",
     "euclid-io/kn_out": "5ca45caf90d98923c6706c717771327bfd7254ec39cf8cd80e1daf5061b465c4",
     "euclid-io/open_out": "b284feb19aa1d094acaeead0b045e21a75834a8adf6f012e26ca0a183f419ee5",
