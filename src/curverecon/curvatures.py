@@ -180,7 +180,7 @@ class TableCurvature(CurvatureSpec):
 
     def turning_ratio(self, period):
         span = float(self.grid[-1] - self.grid[0])
-        if abs(period - span) <= 1e-9 * span:
+        if _is_natural_period(period, span):
             # trapezoid is exact for a linearly interpolated table
             return float(np.trapezoid(self.values, self.grid)) / span * period / TWO_PI
         return None

@@ -150,20 +150,18 @@ class ClosureReport:
 def classify_closure(kappa, period: float) -> ClosureReport:
     """Predict closedness of the curve reconstructed from a periodic curvature spec.
 
-    The turning ratio is ``kappa.turning_ratio(period)``, or (1/2pi) * the quadrature integral
-    over [0, period] when that is None (after :func:`~curverecon.quadrature.probe` refuses a
-    non-finite sample); a ratio that is not a ``Fraction`` is refused when not finite and
-    otherwise rationalized with denominator <= 10^6 and tolerance 1e-8.
+    The turning ratio is ``kappa.turning_ratio(period)``, or when that is None (1/2pi) times the
+    composite Simpson integral of the :func:`~curverecon.quadrature.probe` values over [0, period]
+    (the probe refuses a non-finite sample); a ratio that is not a ``Fraction`` is refused when
+    not finite and otherwise rationalized with denominator <= 10^6 and tolerance 1e-8.
     """
     if period <= 0:
         raise ValueError("a positive period is required")
     ratio = kappa.turning_ratio(period)
     if ratio is None:
-        from scipy import integrate
-
-        probe(kappa, period)
-        total, _ = integrate.quad(lambda t: float(kappa(t)), 0.0, period, epsabs=1e-10, limit=500)
-        ratio = total / TWO_PI
+        values = probe(kappa, period)
+        # unit step, scaled after: a subnormal period's step would round to 0
+        ratio = float(cumulative_simpson(values, 1.0)[-1]) * (period / (values.size - 1)) / TWO_PI
     if not isinstance(ratio, Fraction):
         if not math.isfinite(ratio):
             raise ValueError(f"turning ratio {ratio} over period {period!r} is not finite")

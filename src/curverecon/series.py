@@ -41,7 +41,8 @@ def truncation_count(mu: MonomialCurvature, alpha_max: float, tol: float = 1e-14
         return 0
     K = mu.k + 2
     log_c, log_a = math.log(abs(c)), math.log(a)
-    peak = abs(c) * a**K / K**2 if (K * log_a + log_c) < 700 else math.inf
+    with np.errstate(over="ignore"):  # np.float64: a peak past double range is inf, which no count reaches
+        peak = abs(c) * np.float64(a) ** K / K**2
     log_tol = math.log(tol)
     for i in range(1, TERM_CAP + 1):
         log_term = i * log_c + (K * i + 1) * log_a - math.lgamma(i + 1) - 2 * i * math.log(K)

@@ -27,6 +27,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(cwd, *argv):
+    """(exit code, stdout, stderr) of one request in a fresh interpreter with Python's default warning
+    filters, as a user's shell runs the CLI."""
+    child = "import sys; sys.path.insert(0, sys.argv[1]); from curverecon import cli; sys.exit(cli.main(sys.argv[2:]))"
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", child, str(SRC), *argv],
+                          cwd=cwd, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def strict_json(text):
     """Parse ``text`` as RFC 8259 JSON: the ``Infinity``/``NaN`` tokens are refused."""
 
@@ -321,8 +330,8 @@ class TestNonFiniteCurvature:
         assert err == f"solver error: curvature {bad} at parameter {at!r} past the domain start is not finite\n"
         assert calls == []
 
-    # the table's trapezoid and const's closed form give the ratio itself; the other two reach the probe
-    # before quadrature, whose nodes on [0, 50] miss the nan stretch around row 10
+    # the table's trapezoid and const's closed form give the ratio itself; the other two have no hook at
+    # their period, so the probe refuses their first non-finite sample before anything is summed
     @pytest.mark.parametrize("curvature, period, err", [
         ("table:<nan>,periodic", "100", "turning ratio nan over period 100.0 is not finite"),
         ("const:1e308", "100", "turning ratio inf over period 100.0 is not finite"),
@@ -336,13 +345,13 @@ class TestNonFiniteCurvature:
         assert (code, stdout, got) == (3, "", f"solver error: {err}\n")
 
     def test_stderr_holds_only_the_refusal(self, tmp_path):
-        # a fresh interpreter with Python's default warning filters, as a user's shell runs the CLI
-        child = "import sys; sys.path.insert(0, sys.argv[1]); from curverecon import cli; sys.exit(cli.main(sys.argv[2:]))"
-        proc = subprocess.run([sys.executable, "-E", "-s", "-c", child, str(SRC),
-                               "classify", "--curvature", "monomial:1,400", "--period", "10"],
-                              cwd=tmp_path, capture_output=True, timeout=120)
-        assert (proc.returncode, proc.stdout) == (3, b"")
-        assert proc.stderr == b"solver error: curvature inf at parameter 5.8984375 past the domain start is not finite\n"
+        assert run_fresh(tmp_path, "classify", "--curvature", "monomial:1,400", "--period", "10") == (
+            3, b"", b"solver error: curvature inf at parameter 5.8984375 past the domain start is not finite\n")
+
+    def test_quadrature_overflow_prints_only_the_refusal(self, tmp_path):
+        # finite samples whose sum overflows
+        assert run_fresh(tmp_path, "classify", "--curvature", "sinusoid:1,0,1e308", "--period", "1") == (
+            3, b"", b"solver error: turning ratio inf over period 1.0 is not finite\n")
 
 
 class TestSolverRefusals:

@@ -1,4 +1,4 @@
-"""CLI requests start on numpy alone: scipy is imported only by the code that uses it.
+"""Every CLI request runs on numpy alone: scipy is imported only by library routines that no request calls.
 
 Each case runs one request through ``cli.main`` in a fresh ``-E -s``
 interpreter, so nothing the test process has imported leaks into the check.
@@ -30,6 +30,7 @@ NUMPY_ONLY = {
     "compare euclid": ["compare", "euclid", "kn:10", "kn:51/5", "--domain", "0:6.3"],
     "compare affine": ["compare", "affine", "const:1", "const:1.1", "--domain", "0:3"],
     "classify exact hook": ["classify", "--curvature", "kn:5/3", "--period", "6.283185307179586"],
+    "classify quadrature fallback": ["classify", "--curvature", "monomial:1,1", "--period", "6.283185307179586"],
 }
 
 
@@ -45,11 +46,3 @@ def test_request_loads_no_scipy(name, tmp_path):
     child = run_fresh(NUMPY_ONLY[name], tmp_path)
     assert child["exit"] == 0
     assert child["scipy"] == []
-
-
-def test_quadrature_fallback_loads_scipy_integrate(tmp_path):
-    # no exact turning-ratio hook for a monomial, so classify integrates with scipy's quad;
-    # only the import is checked here, not the ratio it prints
-    child = run_fresh(["classify", "--curvature", "monomial:1,1", "--period", "6.283185307179586"], tmp_path)
-    assert child["exit"] == 0
-    assert "scipy.integrate" in child["scipy"]

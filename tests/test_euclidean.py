@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,31 @@ class TestRationalize:
         assert euclidean.rationalize(1.0 / 3.0 + 1e-7) is None
 
 
+@pytest.fixture
+def threefold_table(tmp_path):
+    """``sinusoid:1,1,1/3`` tabulated at 2001 rows over one period, read back as a periodic table."""
+    from curverecon.curveio import write_table_csv
+
+    g = np.linspace(0.0, 2 * PI, 2001)
+    write_table_csv(g, parse_spec("sinusoid:1,1,1/3")(g), tmp_path / "k.csv")
+    return parse_spec(f"table:{tmp_path / 'k.csv'},periodic")
+
+
+@pytest.fixture
+def scipy_calls():
+    """Modules of the scipy functions, Python or compiled, called while the test runs."""
+    calls = []
+
+    def record(frame, event, arg):
+        module = frame.f_globals.get("__name__", "") if event == "call" else getattr(arg, "__module__", None)
+        if event in ("call", "c_call") and isinstance(module, str) and module.startswith("scipy"):
+            calls.append(module)
+
+    sys.setprofile(record)
+    yield calls
+    sys.setprofile(None)
+
+
 class TestClassify:
     def test_threefold_sinusoid(self):
         rep = euclidean.classify_closure(parse_spec("sinusoid:1,1,1/3"), period=2 * PI)
@@ -159,17 +185,30 @@ class TestClassify:
         assert rep.ratio == Fraction(0, 1)
         assert not rep.predicted_closed
 
-    def test_quadrature_route_table(self, tmp_path):
-        # tabulated copy of the threefold sinusoid goes through quadrature
-        from curverecon.curveio import write_table_csv
-
-        g = np.linspace(0.0, 2 * PI, 2001)
-        spec3 = parse_spec("sinusoid:1,1,1/3")
-        write_table_csv(g, spec3(g), tmp_path / "k.csv")
-        rep = euclidean.classify_closure(
-            parse_spec(f"table:{tmp_path / 'k.csv'},periodic"), period=2 * PI
-        )
+    def test_table_at_its_span_takes_the_trapezoid_hook(self, threefold_table):
+        assert threefold_table.turning_ratio(2 * PI) is not None
+        rep = euclidean.classify_closure(threefold_table, period=2 * PI)
         assert rep.ratio == Fraction(1, 3)
+
+    def test_table_within_1e8_of_its_span_takes_the_hook(self, threefold_table):
+        # one natural-period rule for every spec: a period within 1e-8 of the span takes the hook
+        period = 2 * PI * (1 + 5e-9)
+        assert threefold_table.turning_ratio(period) is not None
+        assert euclidean.classify_closure(threefold_table, period).ratio == Fraction(1, 3)
+
+    # no hook at these periods, so the ratio is the composite Simpson sum of the probe's samples
+    @pytest.mark.parametrize("spec, period, ratio", [
+        ("sinusoid:1,1,1/3", 10 * PI, Fraction(5, 3)),
+        ("<table>", 4 * PI, Fraction(2, 3)),
+        ("kn:5/3", 100 * PI, Fraction(30)),
+        ("kn:10", 100 * PI, Fraction(5)),
+        ("monomial:1,1", 5e-324, Fraction(0)),  # a step that would round to 0
+    ], ids=["sinusoid-5-periods", "table-2-spans", "kn5/3-50-periods", "kn10-50-periods", "subnormal-period"])
+    def test_quadrature_fallback(self, threefold_table, scipy_calls, spec, period, ratio):
+        kappa = threefold_table if spec == "<table>" else parse_spec(spec)
+        assert kappa.turning_ratio(period) is None
+        assert euclidean.classify_closure(kappa, period).ratio == ratio
+        assert scipy_calls == []
 
 
 class TestTurningNumber:

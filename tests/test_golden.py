@@ -73,7 +73,7 @@ TRAFFIC = {
     "compare/euclid_l1_kn40": "0a7285b6b21366b6616aa42d80d1420e40d617cb388413bb6778d5c47fd54525",
     "compare/affine_const2": "58dfd0ad40532af53fbbf6bf457f1185952f38d08e3476765ad314ff672f8a58",
     "compare/affine_const1": "ae760dd0c5b835cc0bd7c2efa4ef28550c3157a61bfa42295511e283a1a672b7",
-    "compare/affine_mun": "b35860ecaf1f26e638b40c06cbe91b2b56ffd151a5dcb77346046b2e731ad076",
+    "compare/affine_mun": "e24ba5a62f2e6430837fe6433ad43ba1f253c695a4dbfc689a6720ca824e54ac",
     "euclid-io/closed_1e6": "c16d7279ba573e3bc8f3f82a1db9451d71940b023c2139cab26e19715e95d31c",
     "euclid-io/kn_out": "5ca45caf90d98923c6706c717771327bfd7254ec39cf8cd80e1daf5061b465c4",
     "euclid-io/open_out": "b284feb19aa1d094acaeead0b045e21a75834a8adf6f012e26ca0a183f419ee5",
