@@ -3,8 +3,8 @@
 
 After registering both curves to the same start pose, the pointwise
 distance |gamma1(s) - gamma2(s)| at equal arc length is bounded by
-sqrt(2) * delta * L^2 / 2 when the curvatures stay within delta of each
-other, and by delta_L1 * L for the integrated gap.  The bound checker
+delta * L^2 / 2 when the curvatures stay within delta of each other, and
+by delta_L1 * L for the integrated gap.  The bound checker
 rebuilds both curves on one shared grid, measures the largest pointwise
 gap there (the reported ``measured``), and compares.
 """

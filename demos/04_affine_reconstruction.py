@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from curverecon import affine, parse_spec
-from curverecon.curveio import picard_result_json
+from curverecon.curveio import report_json
 from curverecon.geometry import grid_distance
 
 # closed forms vs the iterative solver
@@ -43,5 +43,7 @@ print(f"\nmu=2 vs mu=2.05 on [0,2]: measured={rep.measured:.4f} bound={rep.bound
 
 # an oscillating curvature, fixed sweep count, solver metadata as JSON
 curve, result = affine.picard(parse_spec("mun:2/5"), 22.0, iterations=200)
-print("\nmun:2/5 on [0,22]:", picard_result_json(result))
+summary = {"iterations": result.iterations, "c": result.c, "tail_bound": result.tail_bound,
+           "grid_size": result.grid_size}
+print("\nmun:2/5 on [0,22]:", report_json(summary))
 print(f"endpoint gap {curve.endpoint_gap:.4f} over span {curve.span:.1f}")

@@ -26,7 +26,6 @@ __all__ = [
     "conic_frames",
     "curvature_from_euclidean",
     "frame_determinants",
-    "frame_divergence_bound",
     "picard",
     "picard_bounds",
 ]
@@ -347,29 +346,17 @@ def picard_bounds(c: float, alpha: float, n: int) -> dict:
     }
 
 
-def _probe_gap(mu1, mu2, length: float):
-    """(delta, c_hat) on a 4097-point probe: sup |mu1 - mu2| and max(1, sup |mu1|, sup |mu2|)."""
-    v1, v2 = probe(mu1, length), probe(mu2, length)
-    return sup_norm(v1 - v2), max(1.0, sup_norm(v1), sup_norm(v2))
-
-
-def frame_divergence_bound(mu1, mu2, length: float) -> float:
-    """Guaranteed max-entry gap between frames grown from the identity frame by two curvatures."""
-    delta, c_hat = _probe_gap(mu1, mu2, length)
-    if delta == 0.0:
-        return 0.0
-    return delta * length * _exp_or_inf(c_hat * length)
-
-
 def bound_check(mu1, mu2, length: float) -> BoundReport:
     """Certify the affine reconstruction-distance bound for two curvatures.
 
     Both curves are rebuilt with canonical initial data (realizing the
     registering map) on one grid; their pointwise distance
     max_alpha |c1(alpha) - c2(alpha)| on it is compared against
-    sqrt(2) * (delta L / c_hat) * (e^(c_hat L) - 1).
+    sqrt(2) * (delta L / c_hat) * (e^(c_hat L) - 1), with delta = sup |mu1 - mu2|
+    and c_hat = max(1, sup |mu1|, sup |mu2|) on the 4097-node probe.
     """
-    delta, c_hat = _probe_gap(mu1, mu2, length)
+    v1, v2 = probe(mu1, length), probe(mu2, length)
+    delta, c_hat = sup_norm(v1 - v2), max(1.0, sup_norm(v1), sup_norm(v2))
     if delta == 0.0:
         bound = 0.0
     else:
@@ -388,7 +375,6 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
         delta=delta,
         length=length,
         c_hat=c_hat,
-        bound_stated=bound,
         bound=bound,
         measured=measured,
         solver_floor=floor,

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--domain", required=True, metavar="A:B", help="parameter interval")
     rec.add_argument("--samples", type=int, default=None, metavar="N")
     rec.add_argument("--iterations", type=int, default=None, metavar="N",
-                     help="fixed iteration count (affine mode)")
+                     help="fixed sweep count (affine mode; excludes --tol)")
     rec.add_argument("--tol", type=float, default=None, metavar="EPS",
                      help="certified tail tolerance (affine) or term tolerance (series)")
     rec.add_argument("--out", default=None, metavar="PATH", help="curve CSV output")
@@ -97,6 +97,8 @@ def _cmd_reconstruct(args) -> int:
     for flag in _UNREAD[args.mode]:
         if getattr(args, flag) is not None:
             raise _UsageError(f"--{flag} is not read in {args.mode} mode")
+    if args.iterations is not None and args.tol is not None:
+        raise _UsageError("--iterations and --tol exclude each other")
     spec = parse_spec_cli(args.curvature)
     a, b = _parse_domain(args.domain)
     length = b - a

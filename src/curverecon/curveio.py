@@ -20,7 +20,6 @@ __all__ = [
     "bound_report_json",
     "closure_report_json",
     "emit_svg",
-    "picard_result_json",
     "read_curve_csv",
     "read_table_csv",
     "report_json",
@@ -198,11 +197,9 @@ def bound_report_json(report: BoundReport) -> str:
             "delta": float(report.delta),
             "L": float(report.length),
             "c_hat": c_hat,
-            "bound_stated": float(report.bound_stated),
             "bound": float(report.bound),
             "measured": float(report.measured),
             "satisfied": bool(report.satisfied),
-            "stated_bound_held": bool(report.stated_bound_held),
         }
     )
 
@@ -215,16 +212,5 @@ def closure_report_json(report) -> str:
             "turning": None if report.turning_number is None else int(report.turning_number),
             "symmetry": None if report.symmetry_index is None else int(report.symmetry_index),
             "minimal_period": None if report.minimal_period is None else float(report.minimal_period),
-        }
-    )
-
-
-def picard_result_json(result) -> str:
-    return report_json(
-        {
-            "iterations": int(result.iterations),
-            "c": float(result.c),
-            "tail_bound": float(result.tail_bound),
-            "grid_size": result.grid_size,
         }
     )

@@ -190,9 +190,10 @@ def bound_check(kappa1, kappa2, length: float, norm: str = "linf") -> BoundRepor
     Both curves are rebuilt from the canonical pose (which realizes the
     registering rigid motion) on one grid, the curvature gap delta is
     measured on that grid, and the pointwise distance max_s |c1(s) - c2(s)|
-    on it is compared against the certified bound: sqrt(2) * delta * L^2 / 2
-    for the sup norm, or delta * L for the L1 norm.  The headline value without the sqrt(2)
-    factor is reported alongside.
+    on it is compared against the certified bound: delta * L^2 / 2 for the
+    sup norm, or delta * L for the L1 norm.  Proof: |e^(ia) - e^(ib)| <= |a - b|
+    gives |c1(s) - c2(s)| <= integral_0^s |theta1 - theta2|, and |theta1 - theta2|
+    is at most delta * s (sup norm) or delta (L1 norm) at s.
     """
     if norm not in ("linf", "l1"):
         raise ValueError("norm must be 'linf' or 'l1'")
@@ -204,22 +205,17 @@ def bound_check(kappa1, kappa2, length: float, norm: str = "linf") -> BoundRepor
     diff = np.abs(np.asarray(kappa1(s), dtype=float) - np.asarray(kappa2(s), dtype=float))
     if norm == "linf":
         delta = float(diff.max())
-        stated = delta * length**2 / 2.0
-        certified = math.sqrt(2.0) * stated
+        bound = delta * length**2 / 2.0
     else:
         delta = float(cumulative_simpson(diff, s[1] - s[0])[-1])
-        stated = delta * length
-        certified = stated
-    measured = grid_distance(c1, c2)
-    floor = 1e-9
+        bound = delta * length
     return BoundReport(
         mode="euclidean",
         norm=norm,
         delta=delta,
         length=length,
         c_hat=None,
-        bound_stated=stated,
-        bound=certified,
-        measured=measured,
-        solver_floor=floor,
+        bound=bound,
+        measured=grid_distance(c1, c2),
+        solver_floor=1e-9,
     )

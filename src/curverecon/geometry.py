@@ -264,12 +264,11 @@ class BoundReport:
     """A guaranteed reconstruction-distance bound next to the measured distance.
 
     ``measured`` is the pointwise sup distance of the two rebuilt curves on
-    their shared grid (:func:`grid_distance`).  ``bound`` is the certified
-    value the ``satisfied`` verdict is checked against; ``bound_stated`` is
-    the (possibly tighter) headline value behind ``stated_bound_held``.
-    ``solver_floor`` is the numerical allowance added to both so that a
-    zero theoretical bound does not flag quadrature round-off as a violation.
-    Both verdicts are computed from these numbers, never stored.
+    their shared grid (:func:`grid_distance`), and ``bound`` is the certified
+    value the ``satisfied`` verdict checks it against.  ``solver_floor`` is the
+    numerical allowance added to ``bound`` so that a zero theoretical bound
+    does not flag quadrature round-off as a violation.  The verdict is
+    computed from these numbers, never stored.
     """
 
     mode: str
@@ -277,7 +276,6 @@ class BoundReport:
     delta: float
     length: float
     c_hat: float | None
-    bound_stated: float
     bound: float
     measured: float
     solver_floor: float
@@ -285,7 +283,3 @@ class BoundReport:
     @property
     def satisfied(self) -> bool:
         return self.measured <= self.bound + self.solver_floor
-
-    @property
-    def stated_bound_held(self) -> bool:
-        return self.measured <= self.bound_stated + self.solver_floor

@@ -409,27 +409,6 @@ class TestPicardBounds:
             affine.picard_bounds(0.5, 1.0, 1)
 
 
-class TestFrameDivergence:
-    def test_identical_curvatures(self):
-        assert affine.frame_divergence_bound(const(1.0), const(1.0), 1.0) == 0.0
-
-    def test_constant_pair_against_closed_forms(self):
-        bound = affine.frame_divergence_bound(const(1.0), const(1.01), 1.0)
-        assert abs(bound - 0.01 * 1.0 * math.exp(1.01)) < 1e-12
-        a = np.linspace(0.0, 1.0, 1025)
-        gap = np.abs(affine.conic_frames(1.0, a) - affine.conic_frames(1.01, a)).max()
-        assert gap <= bound
-
-    def test_picard_pair_within_bound(self):
-        mu1 = parse_spec("mun:2/5")
-        mu2 = lambda t: mu1(t) + 0.01
-        bound = affine.frame_divergence_bound(mu1, mu2, 2.0)
-        _, r1 = affine.picard(mu1, 2.0, n_grid=2049, tol=1e-11)
-        _, r2 = affine.picard(mu2, 2.0, n_grid=2049, tol=1e-11)
-        gap = np.abs(r1.frames - r2.frames).max()
-        assert gap <= bound + 10.0 * (r1.tail_bound + r2.tail_bound)
-
-
 class TestBoundCheck:
     def test_identical(self):
         rep = affine.bound_check(const(2.0), const(2.0), 2.0)

@@ -135,6 +135,14 @@ class TestReconstruct:
         assert stdout == ""
         assert err.startswith("error:") and flag in err and mode in err
 
+    def test_iterations_with_tol_exits_2(self, capsys):
+        # a tol run solves for the fixed point, so a sweep count next to it would certify sweeps that never ran
+        code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "mun:2/5", "--domain", "0:2",
+                                    "--iterations", "3", "--tol", "1e-10")
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --iterations and --tol exclude each other\n"
+
     def test_svg_output_is_deterministic(self, tmp_path, capsys):
         args = ("reconstruct", "euclid", "--curvature", "kn:10", "--domain", "0:6.283185307")
         run_cli(capsys, *args, "--svg", str(tmp_path / "a.svg"))
@@ -474,7 +482,7 @@ class TestCompare:
 
         fake = BoundReport(
             mode="euclidean", norm="linf", delta=1.0, length=1.0, c_hat=None,
-            bound_stated=1.0, bound=1.0, measured=2.0, solver_floor=0.0,
+            bound=1.0, measured=2.0, solver_floor=0.0,
         )
         monkeypatch.setattr(euclidean, "bound_check", lambda *a, **k: fake)
         code, stdout, _ = run_cli(capsys, "compare", "euclid", "const:1", "const:1",

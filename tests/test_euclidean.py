@@ -243,7 +243,7 @@ class TestBoundCheck:
         shifted = parse_spec("sinusoid:1,0,0.01")
         rep = euclidean.bound_check(sin, shifted, 2 * PI, norm="linf")
         assert abs(rep.delta - 0.01) < 1e-12
-        certified = math.sqrt(2.0) * 0.01 * (2 * PI) ** 2 / 2.0
+        certified = 0.01 * (2 * PI) ** 2 / 2.0
         assert abs(rep.bound - certified) < 1e-9
         assert rep.measured <= certified
 

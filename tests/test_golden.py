@@ -46,7 +46,7 @@ CLI_OUTPUTS = [
 DEMOS = {
     "01_euclidean_reconstruction.py": "296dac5d8f49b4cc66ae66e43798877283a6ac6644b2e8c165de58d8d9e22c93",
     "02_closedness.py": "afb3b12ac3cdcad47617fcf116df86ec3c9e8cabf7760579e996af822c962319",
-    "03_distance_bounds.py": "2a70208e81061201ded1feca5f11c80187d3a23976658baf5fde9c198c8499ce",
+    "03_distance_bounds.py": "664f2bb23d5ba7a56cd96856360ad6a9f2fac92de04fbbd5eab1809bf317cccb",
     "04_affine_reconstruction.py": "cbef0fec62c8f81ec435a5c33977465d1d0c1e44d49b8a5a57f816ccf11a4bd0",
     "05_monomial_series.py": "cd96fbca06076448f62025622d4c1fb816da025ec78785491bb333148deeecdb",
 }
@@ -65,15 +65,15 @@ TRAFFIC = {
     "affine-recon/series11": "db8651d8aa9bd91b5541f5c03326b0fa04131dd6f61731b675517c26b9003d4f",
     "affine-recon/mono12": "ec86c6565e15ccfc2542f4b22a62c130bcc0a596eeb17187249249e4a6ea8dd6",
     "affine-recon/series12": "0e21975c3a081e4f4da83c11442565af604d6cce263dd940de2af8b0cf6a7ebd",
-    "compare/euclid_linf_kn10": "8f9431bf0de9dd44747f7ae4a91cbb7be570d6b1e8ef7828f0cefff408f104e5",
-    "compare/euclid_l1_kn10": "b19da68da740f6eecc0abf2d07013c1ceb952e94d94cde03452958095698e081",
-    "compare/euclid_linf_kn20": "3a53f34466a8279337a736b9b50ce927041d3184c3ef9ca0bc8efcaef7f1fd3a",
-    "compare/euclid_l1_kn20": "e4850d621a6ec9021a6d2938d89a218792b34fbf64c768c6f47708bae3a874cc",
-    "compare/euclid_linf_kn40": "53eab472e681bb9697d43376897a00a25882e67a8a01f7985937856348f864ee",
-    "compare/euclid_l1_kn40": "0a7285b6b21366b6616aa42d80d1420e40d617cb388413bb6778d5c47fd54525",
-    "compare/affine_const2": "58dfd0ad40532af53fbbf6bf457f1185952f38d08e3476765ad314ff672f8a58",
-    "compare/affine_const1": "ae760dd0c5b835cc0bd7c2efa4ef28550c3157a61bfa42295511e283a1a672b7",
-    "compare/affine_mun": "e24ba5a62f2e6430837fe6433ad43ba1f253c695a4dbfc689a6720ca824e54ac",
+    "compare/euclid_linf_kn10": "46b18fa70ea4a1c91258c299924fbdb36ccc2d76586db1ef6d15c2682ee43971",
+    "compare/euclid_l1_kn10": "92c0c8128415081ba475cfe43596f931ca73e6f4b8fdd81cd77a609ec747d2a5",
+    "compare/euclid_linf_kn20": "30f81da0c960ffe68813a5d72d507f9cc063768601bb8660738d402d772188c1",
+    "compare/euclid_l1_kn20": "c9a4a9de2d2e5182f4cfbf84a24bbffa78e4b584461f0c002c194b3ab9f75505",
+    "compare/euclid_linf_kn40": "3e7b1ac367f2fa2b2a0d5438e22ffd6212b747e7cb03006d38ca2ffa98c5af98",
+    "compare/euclid_l1_kn40": "6e9c07299c0360fc58922f8a6129e4dbcc6438fbb5ce2c0e58f4fce662f3759e",
+    "compare/affine_const2": "c85446695b952e5375ca6184cde754df7cfae05d2c9ea21a8e38527d9ec5cd5b",
+    "compare/affine_const1": "eca81ef958a73c17cee78558320325eba21bd4973c619a80b2de15ff0f160363",
+    "compare/affine_mun": "d29109c20bca8788aced7b60b69c6ff1c92cc0bc40bfb968cc6806715946912d",
     "euclid-io/closed_1e6": "c16d7279ba573e3bc8f3f82a1db9451d71940b023c2139cab26e19715e95d31c",
     "euclid-io/kn_out": "5ca45caf90d98923c6706c717771327bfd7254ec39cf8cd80e1daf5061b465c4",
     "euclid-io/open_out": "b284feb19aa1d094acaeead0b045e21a75834a8adf6f012e26ca0a183f419ee5",

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curverecon import affine, euclidean
+from curverecon import euclidean
 from curverecon.curvatures import parse_spec
 from curverecon.curveio import (
     CsvFormatError,
     bound_report_json,
     closure_report_json,
     emit_svg,
-    picard_result_json,
     read_curve_csv,
     read_table_csv,
     write_curve_csv,
@@ -52,6 +51,27 @@ class TestCurveCsv:
         p.write_text("s,x,y\n0,0,0\n1,oops,0\n", encoding="utf-8")
         with pytest.raises(CsvFormatError, match=":3:"):
             read_curve_csv(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "{path}:1: empty file"),
+        ("s,x,y\n0,0,0\n1,1\n", "{path}:3: expected 3 fields, got 2"),
+        ("s,x,y\n0,0,0\n", "{path}: need at least 2 data rows"),
+        ("s,x,y\n0,0,0\n\n", "{path}: need at least 2 data rows"),
+        ("s,x,y\n0,0,0\n\n1,1,0,0\n", "{path}:4: expected 3 fields, got 4"),
+    ], ids=["empty-file", "short-row", "one-data-row", "blank-line-is-not-a-row", "line-count-keeps-blank-lines"])
+    def test_malformed_file_refused(self, tmp_path, text, message):
+        p = tmp_path / "c.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvFormatError) as exc:
+            read_curve_csv(p)
+        assert str(exc.value) == message.format(path=p)
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("s,x,y\n0,0,0\n\n1,1,0\n", encoding="utf-8")
+        curve = read_curve_csv(p)
+        assert curve.params.tolist() == [0.0, 1.0]
+        assert curve.points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
     def test_non_monotone_param_reports_line(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -107,6 +127,19 @@ class TestSvg:
         with pytest.raises(ValueError, match="zero-area"):
             emit_svg(((pt, ""),), tmp_path / "z.svg")
 
+    def test_nothing_to_plot(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            emit_svg((), tmp_path / "e.svg")
+        assert str(exc.value) == "nothing to plot"
+        assert not (tmp_path / "e.svg").exists()
+
+    def test_vertical_segment_is_padded(self, tmp_path):
+        # dx = 0: the x range becomes 0.1 dy wide around the segment, which is drawn centred at full height
+        seg = SampledCurve([0.0, 1.0], [[0.0, 0.0], [0.0, 1.0]])
+        emit_svg(((seg, ""),), tmp_path / "v.svg")
+        line = ElementTree.parse(tmp_path / "v.svg").getroot().find("{http://www.w3.org/2000/svg}polyline")
+        assert line.get("points") == "320.000,440.000 320.000,40.000"
+
     def test_flat_segment_is_padded_not_rejected(self, tmp_path):
         seg = SampledCurve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
         emit_svg(((seg, ""),), tmp_path / "seg.svg")
@@ -118,15 +151,14 @@ class TestReportJson:
         rep = euclidean.bound_check(parse_spec("sinusoid:1,0,0"), parse_spec("kn:40"), 2 * math.pi)
         data = json.loads(bound_report_json(rep))
         assert list(data) == [
-            "mode", "norm", "delta", "L", "c_hat", "bound_stated", "bound",
-            "measured", "satisfied", "stated_bound_held",
+            "mode", "norm", "delta", "L", "c_hat", "bound", "measured", "satisfied",
         ]
         assert data["mode"] == "euclidean" and data["satisfied"] is True
 
     def test_infinite_bound_is_null(self):
         rep = BoundReport(
             mode="affine", norm="linf", delta=1.0, length=5.0, c_hat=301.0,
-            bound_stated=math.inf, bound=math.inf, measured=0.01, solver_floor=1e-12,
+            bound=math.inf, measured=0.01, solver_floor=1e-12,
         )
         text = bound_report_json(rep)
         assert '"bound": null' in text
@@ -142,9 +174,3 @@ class TestReportJson:
             "symmetry": 10,
             "minimal_period": pytest.approx(20 * math.pi),
         }
-
-    def test_picard_result_schema(self):
-        _, res = affine.picard(parse_spec("const:2"), 1.0, n_grid=257, iterations=5)
-        data = json.loads(picard_result_json(res))
-        assert list(data) == ["iterations", "c", "tail_bound", "grid_size"]
-        assert data["iterations"] == 5 and data["grid_size"] == 257
