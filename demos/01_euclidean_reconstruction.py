@@ -38,5 +38,5 @@ s2, k2 = euclidean.curvature(unit)
 from curverecon.curvatures import TableCurvature
 
 rebuilt = euclidean.reconstruct(TableCurvature(s2, k2), unit.span, len(unit))
-registered, _ = normalize_to_standard_frame(unit, "euclidean")
+registered, _ = normalize_to_standard_frame(unit)
 print(f"round-trip distance     : {hausdorff_distance(rebuilt, registered):.3e}")

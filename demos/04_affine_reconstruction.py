@@ -33,8 +33,7 @@ for n in (2, 5, 10, 15):
     curve, result = affine.picard(parse_spec("const:1"), 1.0, n_grid=4097, iterations=n)
     exact = affine.conic_frames(1.0, curve.params)
     gap = np.abs(result.frames - exact).max()
-    budget = affine.picard_bounds(1.0, 1.0, n)["bound_tail"]
-    print(f"  n={n:2d}: measured={gap:.3e} <= certified {budget:.3e}")
+    print(f"  n={n:2d}: measured={gap:.3e} <= certified {result.tail_bound:.3e}")
 
 # distance bound for two nearby constant curvatures
 rep = affine.bound_check(parse_spec("const:2"), parse_spec("const:2.05"), 2.0)

@@ -1,4 +1,4 @@
-"""Equi-affine arc length and curvature, conic solutions, Picard reconstruction.
+"""Equi-affine conic solutions, Picard reconstruction from affine curvature, distance bounds.
 
 The frame rows (affine tangent and normal) satisfy a linear ODE whose
 coefficient matrix holds the affine curvature.  Reconstruction targets the
@@ -13,83 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoundReport, EquiAffineMap, SampledCurve, derivatives, grid_distance, resample_by_rate
-from .geometry import sup_norm
+from .geometry import BoundReport, EquiAffineMap, SampledCurve, grid_distance, sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
 from .quadrature import GRID_CAP, cumulative_simpson, finite_values, odd_sample_count, probe
 
 __all__ = [
     "PicardResult",
-    "arclength_reparametrize",
     "bound_check",
     "conic",
     "conic_frames",
-    "curvature_from_euclidean",
     "frame_determinants",
     "picard",
-    "picard_bounds",
 ]
 
 ITERATION_CAP = 10_000
 WORK_CAP = 50_000_000
-
-
-def arclength_reparametrize(curve: SampledCurve) -> SampledCurve:
-    """Resample a curve uniformly in equi-affine arc length.
-
-    Requires det(g', g'') >= 1e-9 at the nodes and > 0 between them (convex,
-    counterclockwise);
-    the new parameter accumulates det(g', g'')^(1/3) of the interpolating
-    cubic spline, via :func:`~curverecon.geometry.resample_by_rate`.
-    """
-    from scipy.interpolate import CubicSpline
-
-    t = curve.params
-    spline = CubicSpline(t, curve.points, axis=0)
-    d1 = spline.derivative()
-    d2 = spline.derivative(2)
-
-    def det_of(ts):
-        v1, v2 = d1(ts), d2(ts)
-        return v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
-
-    det_nodes = det_of(t)
-    if det_nodes.min() < 1e-9:
-        bad = t[int(np.argmin(det_nodes))]
-        raise ValueError(
-            f"det(tangent, second derivative) = {det_nodes.min():.3e} at parameter {bad!r}; "
-            "curve must be convex and counterclockwise"
-        )
-
-    def density(ts):
-        d = det_of(ts)
-        if d.min() <= 0.0:
-            raise ValueError("det(tangent, second derivative) must stay positive between samples")
-        return np.cbrt(d)
-
-    return resample_by_rate(curve, density)
-
-
-def curvature_from_euclidean(s, kappa):
-    """Affine curvature samples from Euclidean curvature of arc length.
-
-    Applies mu = (3*k*(k_ss + 3*k^3) - 5*k_s^2) / (9*k^(8/3)) and re-grids the
-    result onto uniform affine arc length alpha(s) = integral of k^(1/3).
-    Requires kappa > 0 throughout (the fractional power needs it).
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    s = np.asarray(s, dtype=float)
-    k = np.asarray(kappa, dtype=float)
-    if k.min() <= 0.0:
-        raise ValueError(f"curvature must be positive; min {k.min():.3e} at s={s[int(np.argmin(k))]!r}")
-    ks, kss = derivatives(s, k)
-    mu = (3.0 * k * (kss + 3.0 * k**3) - 5.0 * ks**2) / (9.0 * k ** (8.0 / 3.0))
-    rate = np.cbrt(k)
-    alpha = np.concatenate(([0.0], np.cumsum(np.diff(s) * (rate[1:] + rate[:-1]) / 2.0)))
-    alpha_uniform = np.linspace(0.0, alpha[-1], s.size)
-    mu_uniform = PchipInterpolator(alpha, mu)(alpha_uniform)
-    return alpha_uniform, mu_uniform
 
 
 def conic(mu: float, length: float, n: int) -> SampledCurve:
@@ -321,29 +259,6 @@ def picard(
 
 def frame_determinants(frames: np.ndarray) -> np.ndarray:
     return frames[:, 0, 0] * frames[:, 1, 1] - frames[:, 0, 1] * frames[:, 1, 0]
-
-
-def picard_bounds(c: float, alpha: float, n: int) -> dict:
-    """The four closed-form iteration bounds from the identity frame, evaluated overflow-safely.
-
-    Keys: ``bound_n`` (n-th iterate size), ``bound_a`` (limit size),
-    ``bound_step`` (gap between consecutive iterates), ``bound_tail``
-    (gap between the n-th iterate and the limit).  A bound past double
-    range is ``inf``.
-    """
-    if c < 1.0 or alpha < 0.0 or n < 0:
-        raise ValueError("need c >= 1, alpha >= 0, n >= 0")
-    x = c * alpha
-    if x == 0.0:
-        return {"bound_n": 1.0, "bound_a": 1.0, "bound_step": 1.0 if n == 0 else 0.0, "bound_tail": 0.0}
-    log_terms = [i * math.log(x) - math.lgamma(i + 1) for i in range(n + 1)]
-    peak = max(log_terms)
-    return {
-        "bound_n": _exp_or_inf(peak) * math.fsum(math.exp(t - peak) for t in log_terms),
-        "bound_a": _exp_or_inf(x),
-        "bound_step": _exp_or_inf(n * math.log(x) - math.lgamma(n + 1)),
-        "bound_tail": _exp_or_inf(_log_tail(c, alpha, n, 1.0)),
-    }
 
 
 def bound_check(mu1, mu2, length: float) -> BoundReport:

@@ -44,6 +44,7 @@ def _parse_float(text: str, path, line_no: int) -> float:
 
 
 def _read_rows(path, expected_headers):
+    """Float rows under one of ``expected_headers``; the first column must strictly increase."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -63,28 +64,26 @@ def _read_rows(path, expected_headers):
             missing = [c for c in expected_headers[0] if c not in header]
             what = f"missing column(s) {missing}" if missing else f"got {','.join(header)!r}"
             raise CsvFormatError(f"{path}:1: expected header {wanted!r}; {what}")
-        rows = []
+        rows, line_nos = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise CsvFormatError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
             rows.append([_parse_float(cell, path, line_no) for cell in row])
+            line_nos.append(line_no)
     if len(rows) < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows")
-    return np.asarray(rows)
-
-
-def _check_monotone(col, path):
-    steps = np.diff(col)
+    data = np.asarray(rows)
+    steps = np.diff(data[:, 0])
     if np.any(steps <= 0):
         bad = int(np.argmax(steps <= 0))
-        raise CsvFormatError(f"{path}:{bad + 3}: parameter column not strictly increasing")
+        raise CsvFormatError(f"{path}:{line_nos[bad + 1]}: parameter column not strictly increasing")
+    return data
 
 
 def read_curve_csv(path) -> SampledCurve:
     data = _read_rows(path, [["s", "x", "y"], ["t", "x", "y"]])
-    _check_monotone(data[:, 0], path)
     return SampledCurve(data[:, 0], data[:, 1:3])
 
 
@@ -102,7 +101,6 @@ def write_curve_csv(curve: SampledCurve, path) -> None:
 def read_table_csv(path):
     """Sampled function from a ``t,value`` (or ``s,kappa``) CSV."""
     data = _read_rows(path, [["t", "value"], ["s", "kappa"]])
-    _check_monotone(data[:, 0], path)
     return data[:, 0], data[:, 1]
 
 

@@ -11,8 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import BoundReport, RigidMotion, SampledCurve, derivatives, grid_distance, resample_by_rate
-from .geometry import sup_norm
+from .geometry import BoundReport, RigidMotion, SampledCurve, derivatives, grid_distance, sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
 from .quadrature import cumulative_simpson, finite_values, odd_sample_count, probe
 
@@ -86,19 +85,29 @@ def curvature(curve: SampledCurve):
 def arclength_reparametrize(curve: SampledCurve) -> SampledCurve:
     """Resample a curve uniformly in Euclidean arc length (same sample count).
 
-    The density integrated by :func:`~curverecon.geometry.resample_by_rate`
-    is the speed of the interpolating cubic spline, which must be at least
-    1e-9 at every node.
+    The arc length accumulates the 5-point Gauss-Legendre integral, over each
+    grid interval, of the speed of the interpolating cubic spline, which must
+    be at least 1e-9 at every node; the points are then re-read at uniform
+    steps of it by monotone cubic interpolation.
     """
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicSpline, PchipInterpolator
 
-    t = curve.params
-    dspline = CubicSpline(t, curve.points, axis=0).derivative()
+    t, p = curve.params, curve.points
+    dspline = CubicSpline(t, p, axis=0).derivative()
     speed_nodes = np.hypot(*dspline(t).T)
     if speed_nodes.min() < 1e-9:
         bad = t[int(np.argmin(speed_nodes))]
         raise ValueError(f"zero-speed segment near parameter {bad!r}")
-    return resample_by_rate(curve, lambda ts: np.hypot(*dspline(ts).T))
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(5)
+    a, b = t[:-1], t[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
+    speed = np.hypot(*dspline(nodes.ravel()).T).reshape(nodes.shape)
+    s = np.concatenate([[0.0], np.cumsum(half * (speed @ gl_weights))])
+    s_uniform = np.linspace(0.0, s[-1], t.size)
+    x = PchipInterpolator(s, p[:, 0])(s_uniform)
+    y = PchipInterpolator(s, p[:, 1])(s_uniform)
+    return SampledCurve(s_uniform, np.stack([x, y], axis=1))
 
 
 def rationalize(x: float) -> Fraction | None:

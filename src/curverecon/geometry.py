@@ -1,4 +1,4 @@
-"""Planar group elements, arc-length resampling, finite differences, norms, curve distances, registration.
+"""Planar group elements, finite differences, norms, curve distances, registration.
 
 The group elements are equi-affine maps: a unimodular linear part ``M`` plus a
 translation ``v``.  A rigid motion is an equi-affine map whose linear part is
@@ -22,7 +22,6 @@ __all__ = [
     "grid_distance",
     "hausdorff_distance",
     "normalize_to_standard_frame",
-    "resample_by_rate",
     "sup_norm",
 ]
 
@@ -122,32 +121,6 @@ class SampledCurve:
         return SampledCurve(self.params, g.apply(self.points))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
-
-def resample_by_rate(curve: SampledCurve, rate) -> SampledCurve:
-    """Resample a curve uniformly in the running integral of a density (same sample count).
-
-    ``rate(t)`` maps a flat array of parameter values to the density there
-    (the speed for Euclidean arc length, det(g', g'')^(1/3) for equi-affine
-    arc length).  The new parameter starts at 0 and accumulates the 5-point
-    Gauss-Legendre integral of ``rate`` over each grid interval; the points
-    are then re-read at uniform steps of it by monotone cubic interpolation.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    t, p = curve.params, curve.points
-    a, b = t[:-1], t[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    f = np.asarray(rate(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    s = np.concatenate([[0.0], np.cumsum(half * (f @ _GL_WEIGHTS))])
-    s_uniform = np.linspace(0.0, s[-1], t.size)
-    x = PchipInterpolator(s, p[:, 0])(s_uniform)
-    y = PchipInterpolator(s, p[:, 1])(s_uniform)
-    return SampledCurve(s_uniform, np.stack([x, y], axis=1))
-
-
 def sup_norm(values) -> float:
     """Max absolute value over grid samples (a lower bound of the continuum sup)."""
     v = np.asarray(values, dtype=float)
@@ -230,32 +203,19 @@ def derivatives(params: np.ndarray, values: np.ndarray):
     return d1, d2
 
 
-def normalize_to_standard_frame(curve: SampledCurve, mode: str = "euclidean"):
-    """Move a curve so it starts at the origin with the standard start frame.
+def normalize_to_standard_frame(curve: SampledCurve):
+    """Move an arc-length parametrized curve to the origin with the standard start frame.
 
-    Returns ``(normalized_curve, g)`` where ``g`` is the unique group element
-    (rigid motion for ``mode="euclidean"``, equi-affine map for
-    ``mode="affine"``) with ``g . curve`` starting at (0,0) with tangent row
-    (1,0) and normal row (0,1).  The curve is assumed to be arc-length
-    parametrized in the stated mode.
+    Returns ``(normalized_curve, g)`` where ``g`` is the unique rigid motion
+    with ``g . curve`` starting at (0,0) with unit tangent (1,0).
     """
-    d1, d2 = (d[0] for d in derivatives(curve.params[:4], curve.points[:4]))
-    if mode == "euclidean":
-        speed = float(np.hypot(*d1))
-        if speed < 1e-9:
-            raise ValueError(f"zero tangent at parameter {curve.params[0]!r}: non-regular parametrization")
-        tang = d1 / speed
-        norm = np.array([-tang[1], tang[0]])
-        frame = np.array([tang, norm])
-        g = RigidMotion(frame, -curve.points[0] @ _inv2(frame))
-    elif mode == "affine":
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        if det < 1e-9:
-            raise ValueError(f"start frame determinant {det:.3e} at parameter {curve.params[0]!r}")
-        frame = np.array([d1, d2]) / np.sqrt(det)
-        g = EquiAffineMap(frame, -curve.points[0] @ _inv2(frame))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    d1 = derivatives(curve.params[:4], curve.points[:4])[0][0]
+    speed = float(np.hypot(*d1))
+    if speed < 1e-9:
+        raise ValueError(f"zero tangent at parameter {curve.params[0]!r}: non-regular parametrization")
+    tang = d1 / speed
+    frame = np.array([tang, [-tang[1], tang[0]]])
+    g = RigidMotion(frame, -curve.points[0] @ _inv2(frame))
     return curve.transformed(g), g
 
 

@@ -4,12 +4,10 @@ import re
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from curverecon import affine
 from curverecon.curvatures import parse_spec
-from curverecon.geometry import EquiAffineMap, SampledCurve, derivatives, grid_distance, hausdorff_distance
+from curverecon.geometry import EquiAffineMap, grid_distance, hausdorff_distance
 from curverecon.quadrature import cumulative_simpson
 
 PI = math.pi
@@ -18,127 +16,6 @@ RNG = np.random.default_rng(11)
 
 def const(v):
     return lambda t: np.full_like(np.asarray(t, dtype=float), v)
-
-
-class TestAffineArclength:
-    def test_parabola_already_parametrized(self):
-        t = np.linspace(0.0, 2.0, 513)
-        parab = SampledCurve(t, np.stack([t, 0.5 * t**2], axis=1))
-        out = affine.arclength_reparametrize(parab)
-        assert_allclose(out.params, t, atol=1e-10)
-        assert_allclose(out.points, parab.points, atol=1e-8)
-
-    def test_unit_circle_total_length(self):
-        t = np.linspace(0.0, 2 * PI, 2049)
-        circ = SampledCurve(t, np.stack([np.cos(t), np.sin(t)], axis=1))
-        out = affine.arclength_reparametrize(circ)
-        assert abs(out.span - 2 * PI) < 1e-8
-
-    def test_ellipse_total_length_against_curvature_route(self):
-        # oracle first: integral of kappa^(1/3) ds with the analytic ellipse
-        # curvature; the integrand collapses to the constant 2^(1/3)
-        def integrand(u):
-            speed = np.hypot(-2 * np.sin(u), np.cos(u))
-            kappa = 2.0 / speed**3
-            return kappa ** (1.0 / 3.0) * speed
-
-        oracle, err = quad(integrand, 0.0, 2 * PI, epsabs=1e-12, limit=200)
-        assert err < 1e-9
-        assert abs(oracle - 2.0 ** (1.0 / 3.0) * 2 * PI) < 1e-9
-
-        t = np.linspace(0.0, 2 * PI, 4097)
-        ell = SampledCurve(t, np.stack([2 * np.cos(t), np.sin(t)], axis=1))
-        out = affine.arclength_reparametrize(ell)
-        assert abs(out.span - oracle) < 1e-6
-
-    def test_normalized_second_derivative_determinant(self):
-        t = np.linspace(0.0, 2 * PI, 4097)
-        ell = SampledCurve(t, np.stack([2 * np.cos(t), np.sin(t)], axis=1))
-        out = affine.arclength_reparametrize(ell)
-        d1 = np.gradient(out.points, out.params, axis=0, edge_order=2)
-        d2 = np.gradient(d1, out.params, axis=0, edge_order=2)
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        assert np.abs(det[4:-4] - 1.0).max() < 2e-3
-
-    def test_inflection_rejected(self):
-        t = np.linspace(-1.0, 1.0, 513)
-        wave = SampledCurve(t, np.stack([t, np.sin(t)], axis=1))
-        with pytest.raises(ValueError, match="parameter"):
-            affine.arclength_reparametrize(wave)
-
-
-class TestCurvatureConversion:
-    def test_unit_circle_gives_one(self):
-        s = np.linspace(0.0, 2 * PI, 4097)
-        alpha, mu = affine.curvature_from_euclidean(s, np.ones_like(s))
-        assert np.abs(mu - 1.0).max() < 1e-10
-
-    def test_constant_curvature_power_law(self):
-        s = np.linspace(0.0, 3.0, 2049)
-        for c in (0.5, 2.0):
-            _, mu = affine.curvature_from_euclidean(s, np.full_like(s, c))
-            assert np.abs(mu - c ** (4.0 / 3.0)).max() < 1e-9
-
-    def test_sinusoid_matches_closed_form_at_every_node(self):
-        # mu(s) in closed form for kappa = 0.5 + 0.2 sin s, read at the s of each
-        # uniform affine arc-length node (alpha(s) from a 8x finer Simpson grid)
-        s = np.linspace(0.0, 3.0, 2049)
-        alpha, mu = affine.curvature_from_euclidean(s, 0.5 + 0.2 * np.sin(s))
-        fine = np.linspace(0.0, 3.0, 16385)
-        alpha_fine = cumulative_simpson(np.cbrt(0.5 + 0.2 * np.sin(fine)), fine[1] - fine[0])
-        t = CubicSpline(alpha_fine, fine)(alpha)
-        k, ks, kss = 0.5 + 0.2 * np.sin(t), 0.2 * np.cos(t), -0.2 * np.sin(t)
-        exact = (3.0 * k * (kss + 3.0 * k**3) - 5.0 * ks**2) / (9.0 * k ** (8.0 / 3.0))
-        assert np.abs(mu - exact).max() < 1e-6
-
-    def test_ellipse_recovers_constant(self):
-        # conic with mu=2 -> euclidean curvature samples -> back to mu; the
-        # curvature formula is parametrization-invariant, so it reads off the
-        # alpha-sampled points, and s comes from integrating the speed
-        alpha, mu = affine.curvature_from_euclidean(*self._ellipse_samples())
-        assert np.abs(mu[8:-8] - 2.0).max() < 1e-3
-
-    @staticmethod
-    def _ellipse_samples():
-        from scipy.integrate import cumulative_trapezoid
-
-        from curverecon import euclidean
-
-        curve = affine.conic(2.0, 4.0, 4097)
-        _, kappa = euclidean.curvature(curve)
-        d1 = np.gradient(curve.points, curve.params, axis=0, edge_order=2)
-        return cumulative_trapezoid(np.hypot(d1[:, 0], d1[:, 1]), curve.params, initial=0.0), kappa
-
-    @pytest.mark.parametrize("case", ["circle", "const 0.5", "const 2", "sinusoid", "ellipse"])
-    def test_running_integral_bitwise_equal_to_scipy_trapezoid(self, case):
-        # the numpy trapezoid must give scipy's cumulative_trapezoid bits, so the
-        # conversion returns what it did while it called scipy
-        from scipy.integrate import cumulative_trapezoid
-        from scipy.interpolate import PchipInterpolator
-
-        s2, s3 = np.linspace(0.0, 2 * PI, 4097), np.linspace(0.0, 3.0, 2049)
-        s, kappa = {
-            "circle": lambda: (s2, np.ones_like(s2)),
-            "const 0.5": lambda: (s3, np.full_like(s3, 0.5)),
-            "const 2": lambda: (s3, np.full_like(s3, 2.0)),
-            "sinusoid": lambda: (s3, 0.5 + 0.2 * np.sin(s3)),
-            "ellipse": self._ellipse_samples,
-        }[case]()
-        rate = np.cbrt(kappa)
-        running = np.concatenate(([0.0], np.cumsum(np.diff(s) * (rate[1:] + rate[:-1]) / 2.0)))
-        reference = cumulative_trapezoid(rate, s, initial=0.0)
-        assert np.array_equal(running, reference)
-
-        alpha, mu = affine.curvature_from_euclidean(s, kappa)
-        ks, kss = derivatives(s, kappa)
-        mu_nodes = (3.0 * kappa * (kss + 3.0 * kappa**3) - 5.0 * ks**2) / (9.0 * kappa ** (8.0 / 3.0))
-        assert np.array_equal(alpha, np.linspace(0.0, reference[-1], s.size))
-        assert np.array_equal(mu, PchipInterpolator(reference, mu_nodes)(alpha))
-
-    def test_nonpositive_curvature_rejected(self):
-        s = np.linspace(0.0, 1.0, 65)
-        with pytest.raises(ValueError, match="positive"):
-            affine.curvature_from_euclidean(s, np.linspace(-0.1, 1.0, 65))
 
 
 class TestConics:
@@ -198,7 +75,8 @@ class TestPicard:
             curve, res = affine.picard(const(1.0), 1.0, n_grid=4097, iterations=n)
             exact = affine.conic_frames(1.0, curve.params)
             measured = np.abs(res.frames - exact).max()
-            assert measured <= affine.picard_bounds(1.0, 1.0, n)["bound_tail"] + 1e-12
+            assert res.tail_bound == pytest.approx(math.e / math.factorial(n + 1), rel=1e-15)
+            assert measured <= res.tail_bound + 1e-12
 
     def test_step_gaps_below_factorial_bound(self):
         _, res = affine.picard(const(1.0), 1.0, n_grid=513, iterations=12)
@@ -367,46 +245,6 @@ class TestDirectSolve:
         curve, _ = affine.picard(mu, 16.0, n_grid=17, tol=1.0)
         swept, _ = affine.picard(mu, 16.0, n_grid=17, iterations=1000)
         assert np.abs(curve.points - swept.points).max() <= 1e-9 * np.abs(swept.points).max()
-
-
-class TestPicardBounds:
-    def test_zero_argument(self):
-        b = affine.picard_bounds(1.0, 0.0, 3)
-        assert b["bound_a"] == 1.0
-        assert b["bound_step"] == 0.0 and b["bound_tail"] == 0.0
-
-    def test_tail_value_frozen(self):
-        # e * 1 / 11! computed independently
-        expect = math.e / math.factorial(11)
-        assert abs(affine.picard_bounds(1.0, 1.0, 10)["bound_tail"] - expect) < 1e-18
-        assert 6.80e-08 < expect < 6.82e-08
-
-    def test_partial_sum_below_exponential(self):
-        for n in (0, 3, 10, 40):
-            b = affine.picard_bounds(1.5, 2.0, n)
-            assert b["bound_n"] <= b["bound_a"] + 1e-12
-
-    def test_large_arguments_stay_finite_in_log_domain(self):
-        b = affine.picard_bounds(50.0, 10.0, 20)
-        assert math.isfinite(b["bound_step"])
-        assert b["bound_tail"] > 0
-
-    @pytest.mark.parametrize("c, alpha, n", [(1000.0, 10.0, 5), (2.0, 400.0, 3)])
-    def test_overflowing_parts_are_inf(self, c, alpha, n):
-        # e^(c alpha) is past double range; the partial sum and the step are not
-        b = affine.picard_bounds(c, alpha, n)
-        assert b["bound_a"] == math.inf and b["bound_tail"] == math.inf
-        x = c * alpha
-        assert b["bound_n"] == pytest.approx(math.fsum(x**i / math.factorial(i) for i in range(n + 1)))
-        assert b["bound_step"] == pytest.approx(x**n / math.factorial(n))
-
-    def test_overflowing_peak_is_inf(self):
-        b = affine.picard_bounds(1000.0, 10.0, 5000)
-        assert b == dict.fromkeys(("bound_n", "bound_a", "bound_step", "bound_tail"), math.inf)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            affine.picard_bounds(0.5, 1.0, 1)
 
 
 class TestBoundCheck:

@@ -1,5 +1,7 @@
 """Every CLI request runs on numpy alone: scipy is imported only by library routines that no request calls.
 
+Only the series request, whose sum uses ``polyval``, loads ``numpy.polynomial``.
+
 Each case runs one request through ``cli.main`` in a fresh ``-E -s``
 interpreter, so nothing the test process has imported leaks into the check.
 """
@@ -19,7 +21,8 @@ sys.path.insert(0, sys.argv[1])
 from curverecon import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[2:])
-print(json.dumps({"exit": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+print(json.dumps({"exit": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "numpy.polynomial": "numpy.polynomial" in sys.modules}))
 """
 
 NUMPY_ONLY = {
@@ -46,3 +49,4 @@ def test_request_loads_no_scipy(name, tmp_path):
     child = run_fresh(NUMPY_ONLY[name], tmp_path)
     assert child["exit"] == 0
     assert child["scipy"] == []
+    assert name == "reconstruct series" or not child["numpy.polynomial"]

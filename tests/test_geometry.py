@@ -15,7 +15,6 @@ from curverecon.geometry import (
     grid_distance,
     hausdorff_distance,
     normalize_to_standard_frame,
-    resample_by_rate,
     sup_norm,
 )
 
@@ -134,15 +133,6 @@ class TestNorms:
         assert np.hypot(x, y) <= math.sqrt(2.0) * max(abs(x), abs(y)) + 1e-12
 
 
-class TestResampleByRate:
-    def test_unit_rate_keeps_uniform_points(self):
-        t = np.linspace(2.0, 5.0, 301)
-        curve = SampledCurve(t, np.stack([np.cos(t), t**2], axis=1))
-        out = resample_by_rate(curve, np.ones_like)
-        assert_allclose(out.params, t - t[0], rtol=0.0, atol=1e-12)
-        assert_allclose(out.points, curve.points, rtol=0.0, atol=1e-12)
-
-
 class TestHausdorff:
     def test_identical_curves(self):
         t = np.linspace(0, 1, 50)
@@ -222,7 +212,7 @@ class TestNormalization:
     def test_already_normalized_is_fixed(self):
         t = np.linspace(0, 1, 101)
         line = SampledCurve(t, np.stack([t, np.zeros_like(t)], axis=1))
-        normed, g = normalize_to_standard_frame(line, "euclidean")
+        normed, g = normalize_to_standard_frame(line)
         assert_allclose(g.linear, np.eye(2), atol=1e-9)
         assert_allclose(g.translation, 0.0, atol=1e-9)
         assert_allclose(normed.points, line.points, atol=1e-9)
@@ -230,7 +220,7 @@ class TestNormalization:
     def test_unit_circle_from_east_point(self):
         t = np.linspace(0, 2 * np.pi, 2049)
         circ = SampledCurve(t, np.stack([np.cos(t), np.sin(t)], axis=1))
-        _, g = normalize_to_standard_frame(circ, "euclidean")
+        _, g = normalize_to_standard_frame(circ)
         # tangent (0,1), normal (-1,0) at the start: a -pi/2 rotation
         assert abs(g.angle + np.pi / 2) < 1e-6
         assert_allclose(g.translation, [0.0, 1.0], atol=1e-6)
@@ -238,10 +228,10 @@ class TestNormalization:
     def test_recovers_inverse_of_random_motion(self):
         t = np.linspace(0, 2 * np.pi, 2049)
         base = SampledCurve(t, np.stack([np.sin(t), 0.5 * t], axis=1))
-        base, _ = normalize_to_standard_frame(base, "euclidean")
+        base, _ = normalize_to_standard_frame(base)
         for _ in range(5):
             g = random_rigid(RNG)
-            _, h = normalize_to_standard_frame(base.transformed(g), "euclidean")
+            _, h = normalize_to_standard_frame(base.transformed(g))
             comp = h.compose(g)
             assert np.abs(comp.linear - np.eye(2)).max() < 1e-6
             assert np.abs(comp.translation).max() < 1e-6
@@ -253,26 +243,18 @@ class TestNormalization:
         rng = np.random.default_rng(7)
         for _ in range(5):
             g = random_rigid(rng)
-            _, h = normalize_to_standard_frame(base.transformed(g), "euclidean")
+            _, h = normalize_to_standard_frame(base.transformed(g))
             comp = h.compose(g)
             assert np.abs(comp.linear - np.eye(2)).max() < 1e-6
             assert np.abs(comp.translation).max() < 1e-6
 
-    def test_affine_mode_recovers_inverse(self):
-        a = np.linspace(0, 2, 1025)
-        parab = SampledCurve(a, np.stack([a, 0.5 * a**2], axis=1))
-        for _ in range(5):
-            g = random_equi_affine(RNG)
-            _, h = normalize_to_standard_frame(parab.transformed(g), "affine")
-            comp = h.compose(g)
-            assert np.abs(comp.linear - np.eye(2)).max() < 1e-5
-            assert np.abs(comp.translation).max() < 1e-5
-
-    def test_degenerate_start_rejected(self):
-        t = np.linspace(0, 1, 50)
-        flatline = SampledCurve(t, np.stack([t, 2.0 * t], axis=1))
-        with pytest.raises(ValueError, match=re.escape(f"start frame determinant 0.000e+00 at parameter {t[0]!r}")):
-            normalize_to_standard_frame(flatline, "affine")
+    def test_zero_tangent_rejected(self):
+        # the curve rests at its start for its first 4 samples, so its start tangent is 0
+        t = np.linspace(0.5, 1.5, 51)
+        resting = SampledCurve(t, np.stack([np.maximum(t - 0.6, 0.0), np.zeros_like(t)], axis=1))
+        message = f"zero tangent at parameter {t[0]!r}: non-regular parametrization"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            normalize_to_standard_frame(resting)
 
 
 class TestSampledCurve:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curverecon import euclidean
+from curverecon import cli, euclidean
 from curverecon.curvatures import parse_spec
 from curverecon.curveio import (
     CsvFormatError,
@@ -78,6 +78,21 @@ class TestCurveCsv:
         p.write_text("s,x,y\n0,0,0\n2,1,0\n1,2,0\n", encoding="utf-8")
         with pytest.raises(CsvFormatError, match="increasing"):
             read_curve_csv(p)
+
+    @pytest.mark.parametrize("reader", ["curve-csv", "table-spec"])
+    def test_non_monotone_line_counts_blank_lines(self, tmp_path, capsys, reader):
+        # the offending row comes after a blank line 3, so it sits on line 5
+        p = tmp_path / "blank.csv"
+        message = f"{p}:5: parameter column not strictly increasing"
+        if reader == "curve-csv":
+            p.write_text("s,x,y\n0,0,0\n\n2,1,0\n1,2,0\n", encoding="utf-8")
+            with pytest.raises(CsvFormatError) as exc:
+                read_curve_csv(p)
+            assert str(exc.value) == message
+        else:
+            p.write_text("t,value\n0,0\n\n2,1\n1,2\n", encoding="utf-8")
+            assert cli.main(["reconstruct", "euclid", "--curvature", f"table:{p}", "--domain", "0:1"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_table_round_trip(self, tmp_path):
         g = np.linspace(0, 1, 17)
