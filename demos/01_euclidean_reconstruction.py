@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from curverecon import SampledCurve, euclidean, hausdorff_distance, parse_spec
-from curverecon.geometry import normalize_to_standard_frame
+from support import arclength_reparametrize, normalize_to_standard_frame
 
 PI = math.pi
 
@@ -28,7 +28,7 @@ print(f"unit-speed deviation    : {np.abs(speed - 1.0).max():.3e}")
 # an arbitrary-speed ellipse, reparametrized to arc length
 t = np.linspace(0.0, 2 * PI, 4097)
 ellipse = SampledCurve(t, np.stack([2 * np.cos(t), np.sin(t)], axis=1))
-unit = euclidean.arclength_reparametrize(ellipse)
+unit = arclength_reparametrize(ellipse)
 print(f"ellipse perimeter       : {unit.span:.6f}")
 
 # full round trip: sample the curvature of the unit-speed ellipse, rebuild a

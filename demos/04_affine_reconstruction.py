@@ -22,7 +22,8 @@ for mu in (-3.0, 0.0, 2.0):
     spec = parse_spec(f"const:{mu:g}")
     curve, result = affine.picard(spec, 2.0, tol=1e-10)
     oracle = affine.conic(mu, 2.0, len(curve))
-    det = affine.frame_determinants(result.frames)
+    f = result.frames
+    det = f[:, 0, 0] * f[:, 1, 1] - f[:, 0, 1] * f[:, 1, 0]
     print(f"mu={mu:+.0f}: planned sweeps={result.iterations:3d} tail={result.tail_bound:.2e} "
           f"dist-to-closed-form={grid_distance(curve, oracle):.2e} "
           f"max|det-1|={np.abs(det - 1).max():.2e}")

@@ -11,6 +11,7 @@ solver.
 import numpy as np
 
 from curverecon import affine, hausdorff_distance, parse_spec, series
+from support import gamma_ratio_check
 
 # series curve vs fixed-point solver
 for k in (1, 2):
@@ -23,10 +24,13 @@ for k in (1, 2):
 # coefficient factors: direct product vs gamma-function form
 print("\nproduct vs gamma-form coefficient factors:")
 for K, i in ((2, 1), (3, 2), (4, 3), (8, 20)):
-    pm, pp, gm, gp = series.gamma_ratio_check(K, i)
+    pm, pp, gm, gp = gamma_ratio_check(K, i)
     print(f"  K={K} i={i:2d}: psi- {pm:.6e} vs {gm:.6e}   psi+ {pp:.6e} vs {gp:.6e}")
 
-# the zero pattern of the raw recurrence: only powers 0,1 mod K survive
-b = series.b_coefficients(c=1.0, k=1, n_max=12)
+# the coefficient ladder fills only the powers 0,1 mod K: u_i at K i, v_i at K i + 1
+u, v = series.tangent_coefficients(parse_spec("monomial:1,1"), 3.0)
+b = np.zeros((13, 2))
+b[0::3, 0] = u[:5]
+b[1::3, 1] = v[:4]
 nonzero = [n for n in range(13) if np.abs(b[n]).max() > 0]
 print("\nnonzero tangent coefficients for k=1 (K=3):", nonzero)

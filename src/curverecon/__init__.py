@@ -8,7 +8,6 @@ from .geometry import (
     RigidMotion,
     SampledCurve,
     hausdorff_distance,
-    normalize_to_standard_frame,
     sup_norm,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "euclidean",
     "geometry",
     "hausdorff_distance",
-    "normalize_to_standard_frame",
     "parse_spec",
     "series",
     "sup_norm",

@@ -22,7 +22,6 @@ __all__ = [
     "bound_check",
     "conic",
     "conic_frames",
-    "frame_determinants",
     "picard",
 ]
 
@@ -255,10 +254,6 @@ def picard(
         step_gaps=tuple(gaps),
     )
     return SampledCurve(grid, pts), result
-
-
-def frame_determinants(frames: np.ndarray) -> np.ndarray:
-    return frames[:, 0, 0] * frames[:, 1, 1] - frames[:, 0, 1] * frames[:, 1, 0]
 
 
 def bound_check(mu1, mu2, length: float) -> BoundReport:

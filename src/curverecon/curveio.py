@@ -65,9 +65,10 @@ def _read_rows(path, expected_headers):
             what = f"missing column(s) {missing}" if missing else f"got {','.join(header)!r}"
             raise CsvFormatError(f"{path}:1: expected header {wanted!r}; {what}")
         rows, line_nos = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line_no = reader.line_num  # a quoted field may span lines: count lines, not records
             if len(row) != len(header):
                 raise CsvFormatError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
             rows.append([_parse_float(cell, path, line_no) for cell in row])

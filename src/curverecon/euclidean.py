@@ -1,4 +1,4 @@
-"""Euclidean arc length, curvature, reconstruction, closedness, and distance bounds.
+"""Euclidean curvature, reconstruction, closedness, and distance bounds.
 
 Reconstruction integrates the curvature twice: the tangent angle is the
 running integral of the curvature, and the curve is the running integral of
@@ -18,7 +18,6 @@ from .quadrature import cumulative_simpson, finite_values, odd_sample_count, pro
 __all__ = [
     "ClosureReport",
     "SAMPLE_CAP",
-    "arclength_reparametrize",
     "bound_check",
     "classify_closure",
     "curvature",
@@ -80,34 +79,6 @@ def curvature(curve: SampledCurve):
         raise ValueError(f"zero-speed sample at parameter {bad!r}")
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     return t, det / speed**3
-
-
-def arclength_reparametrize(curve: SampledCurve) -> SampledCurve:
-    """Resample a curve uniformly in Euclidean arc length (same sample count).
-
-    The arc length accumulates the 5-point Gauss-Legendre integral, over each
-    grid interval, of the speed of the interpolating cubic spline, which must
-    be at least 1e-9 at every node; the points are then re-read at uniform
-    steps of it by monotone cubic interpolation.
-    """
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
-    t, p = curve.params, curve.points
-    dspline = CubicSpline(t, p, axis=0).derivative()
-    speed_nodes = np.hypot(*dspline(t).T)
-    if speed_nodes.min() < 1e-9:
-        bad = t[int(np.argmin(speed_nodes))]
-        raise ValueError(f"zero-speed segment near parameter {bad!r}")
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(5)
-    a, b = t[:-1], t[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
-    speed = np.hypot(*dspline(nodes.ravel()).T).reshape(nodes.shape)
-    s = np.concatenate([[0.0], np.cumsum(half * (speed @ gl_weights))])
-    s_uniform = np.linspace(0.0, s[-1], t.size)
-    x = PchipInterpolator(s, p[:, 0])(s_uniform)
-    y = PchipInterpolator(s, p[:, 1])(s_uniform)
-    return SampledCurve(s_uniform, np.stack([x, y], axis=1))
 
 
 def rationalize(x: float) -> Fraction | None:

@@ -1,4 +1,4 @@
-"""Planar group elements, finite differences, norms, curve distances, registration.
+"""Planar group elements, finite differences, norms, and curve distances.
 
 The group elements are equi-affine maps: a unimodular linear part ``M`` plus a
 translation ``v``.  A rigid motion is an equi-affine map whose linear part is
@@ -21,7 +21,6 @@ __all__ = [
     "derivatives",
     "grid_distance",
     "hausdorff_distance",
-    "normalize_to_standard_frame",
     "sup_norm",
 ]
 
@@ -201,22 +200,6 @@ def derivatives(params: np.ndarray, values: np.ndarray):
     else:
         d2 = np.gradient(d1, t, axis=0, edge_order=2)
     return d1, d2
-
-
-def normalize_to_standard_frame(curve: SampledCurve):
-    """Move an arc-length parametrized curve to the origin with the standard start frame.
-
-    Returns ``(normalized_curve, g)`` where ``g`` is the unique rigid motion
-    with ``g . curve`` starting at (0,0) with unit tangent (1,0).
-    """
-    d1 = derivatives(curve.params[:4], curve.points[:4])[0][0]
-    speed = float(np.hypot(*d1))
-    if speed < 1e-9:
-        raise ValueError(f"zero tangent at parameter {curve.params[0]!r}: non-regular parametrization")
-    tang = d1 / speed
-    frame = np.array([tang, [-tang[1], tang[0]]])
-    g = RigidMotion(frame, -curve.points[0] @ _inv2(frame))
-    return curve.transformed(g), g
 
 
 @dataclass(frozen=True)

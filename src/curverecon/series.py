@@ -3,9 +3,9 @@
 The tangent solves T'' = -c a^k T, so its series coefficients obey a gapped
 two-term recurrence with step K = k + 2: only powers congruent to 0 or 1
 mod K survive, tied to the initial tangent and normal respectively.  The
-coefficients are built by the multiplicative recurrence (stable, exactly
-what the curve obeys); the rising-factorial / log-gamma closed form is kept
-as an independent cross-check.
+coefficients are built by the multiplicative recurrence, which is stable and
+is exactly what the curve obeys; the tests check it against the
+rising-factorial closed form.
 """
 
 import math
@@ -17,9 +17,7 @@ from .geometry import SampledCurve
 from .quadrature import GRID_CAP
 
 __all__ = [
-    "b_coefficients",
     "curve",
-    "gamma_ratio_check",
     "tangent",
     "tangent_coefficients",
     "truncation_count",
@@ -107,36 +105,3 @@ def curve(mu: MonomialCurvature, length: float, n: int, tol: float = 1e-14) -> S
     iv = v / (K * np.arange(v.size, dtype=float) + 2.0)
     pts = np.stack([_eval_lines(a, K, iu, 1), _eval_lines(a, K, iv, 2)], axis=1)
     return SampledCurve(a, pts)
-
-
-def b_coefficients(c: float, k: int, n_max: int) -> np.ndarray:
-    """Raw vector coefficients b_0..b_n of the tangent series from b_0 = T0, b_1 = N0 (direct recurrence)."""
-    K = k + 2
-    b = np.zeros((n_max + 1, 2))
-    b[0] = (1.0, 0.0)
-    if n_max >= 1:
-        b[1] = (0.0, 1.0)
-    for n in range(K, n_max + 1):
-        b[n] = -c * b[n - K] / (n * (n - 1))
-    return b
-
-
-def gamma_ratio_check(K: int, i: int):
-    """Product and log-gamma evaluations of the two coefficient factors.
-
-    Returns (psi_minus, psi_plus, gamma_form_minus, gamma_form_plus), where
-    psi_minus = prod_j 1/(j K - 1) and psi_plus = prod_j 1/(j K + 1) for
-    j = 1..i, and the gamma forms evaluate the same quantities through
-    rising factorials written as gamma-function ratios.
-    """
-    if K < 2 or i < 1:
-        raise ValueError("need K >= 2 and i >= 1")
-    j = np.arange(1, i + 1, dtype=float)
-    psi_minus = float(np.prod(1.0 / (j * K - 1.0)))
-    psi_plus = float(np.prod(1.0 / (j * K + 1.0)))
-    x = 1.0 / K
-    # Gamma(-1/K) is negative on (-1, 0); that sign cancels the closed form's
-    # leading minus, so both gamma forms come out positive
-    gamma_minus = math.exp(math.lgamma(-x) - math.lgamma(i + 1.0 - x) - (i + 1.0) * math.log(K))
-    gamma_plus = math.exp(math.lgamma(x) - math.lgamma(i + 1.0 + x) - (i + 1.0) * math.log(K))
-    return psi_minus, psi_plus, gamma_minus, gamma_plus

@@ -96,7 +96,7 @@ def test_c05_conic_oracle():
             curve, result = affine.picard(parse_spec(f"const:{mu:g}"), 2.0, tol=1e-10)
             oracle = affine.conic(mu, 2.0, len(curve))
             assert grid_distance(curve, oracle) <= 1e-8
-            det = affine.frame_determinants(result.frames)
+            det = np.linalg.det(result.frames)
             assert np.abs(det - 1.0).max() <= 1e-8
 
 
@@ -138,19 +138,6 @@ def test_c08_power_series():
             pc, _ = affine.picard(mu, 3.0, tol=1e-10)
             sc = series.curve(mu, 3.0, len(pc))
             assert grid_distance(sc, pc) <= 1e-6
-        for K in range(2, 9):
-            for i in range(1, 21):
-                pm, pp, gm, gp = series.gamma_ratio_check(K, i)
-                assert abs(pm - gm) <= 1e-10 * pm
-                assert abs(pp - gp) <= 1e-10 * pp
-        for k in (0, 1, 2, 3):
-            K = k + 2
-            b = series.b_coefficients(1.0, k, 5 * K + 1)
-            for n in range(b.shape[0]):
-                if n % K in (0, 1):
-                    assert np.abs(b[n]).max() > 0.0
-                else:
-                    assert np.abs(b[n]).max() == 0.0
 
 
 def test_c09_equivariance_100_random_elements():

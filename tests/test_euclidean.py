@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
 
 from curverecon import euclidean
 from curverecon.curvatures import TableCurvature, parse_spec
@@ -79,40 +78,6 @@ class TestCurvature:
         c = euclidean.reconstruct(spec, 2 * PI, 4097)
         s, k = euclidean.curvature(c)
         assert np.abs(k - spec(s)).max() <= 1e-3
-
-
-class TestArclength:
-    def test_unit_speed_line_unchanged(self):
-        t = np.linspace(0.0, 5.0, 128)
-        line = SampledCurve(t, np.stack([t, np.zeros_like(t)], axis=1))
-        out = euclidean.arclength_reparametrize(line)
-        assert_allclose(out.params, t, atol=1e-12)
-        assert_allclose(out.points, line.points, atol=1e-12)
-
-    def test_speed_two_line(self):
-        t = np.linspace(0.0, 1.0, 128)
-        out = euclidean.arclength_reparametrize(
-            SampledCurve(t, np.stack([2 * t, np.zeros_like(t)], axis=1))
-        )
-        assert abs(out.span - 2.0) < 1e-12
-
-    def test_ellipse_length_matches_quadrature(self):
-        # oracle computed first: adaptive quadrature of the analytic speed
-        perimeter, err = quad(lambda u: np.hypot(-2 * np.sin(u), np.cos(u)), 0, 2 * PI,
-                              epsabs=1e-13, limit=200)
-        assert err < 1e-8
-        t = np.linspace(0.0, 2 * PI, 4096)
-        ell = SampledCurve(t, np.stack([2 * np.cos(t), np.sin(t)], axis=1))
-        out = euclidean.arclength_reparametrize(ell)
-        assert abs(out.span - perimeter) < 1e-6
-        speed = np.linalg.norm(np.gradient(out.points, out.params, axis=0), axis=1)
-        assert np.abs(speed - 1.0).max() < 1e-4
-
-    def test_zero_speed_rejected(self):
-        t = np.linspace(-1.0, 1.0, 201)
-        cusp = SampledCurve(t, np.stack([t**3, np.zeros_like(t)], axis=1))
-        with pytest.raises(ValueError, match="zero-speed"):
-            euclidean.arclength_reparametrize(cusp)
 
 
 class TestRationalize:

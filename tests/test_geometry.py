@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from curverecon.geometry import (
     SampledCurve,
     grid_distance,
     hausdorff_distance,
-    normalize_to_standard_frame,
     sup_norm,
 )
 
@@ -206,55 +204,6 @@ class TestGridDistance:
         t = np.arange(p.shape[0], dtype=float)
         c1, c2 = SampledCurve(t, p), SampledCurve(t, q)
         assert grid_distance(c1, c2) >= hausdorff_distance(c1, c2) - 1e-12
-
-
-class TestNormalization:
-    def test_already_normalized_is_fixed(self):
-        t = np.linspace(0, 1, 101)
-        line = SampledCurve(t, np.stack([t, np.zeros_like(t)], axis=1))
-        normed, g = normalize_to_standard_frame(line)
-        assert_allclose(g.linear, np.eye(2), atol=1e-9)
-        assert_allclose(g.translation, 0.0, atol=1e-9)
-        assert_allclose(normed.points, line.points, atol=1e-9)
-
-    def test_unit_circle_from_east_point(self):
-        t = np.linspace(0, 2 * np.pi, 2049)
-        circ = SampledCurve(t, np.stack([np.cos(t), np.sin(t)], axis=1))
-        _, g = normalize_to_standard_frame(circ)
-        # tangent (0,1), normal (-1,0) at the start: a -pi/2 rotation
-        assert abs(g.angle + np.pi / 2) < 1e-6
-        assert_allclose(g.translation, [0.0, 1.0], atol=1e-6)
-
-    def test_recovers_inverse_of_random_motion(self):
-        t = np.linspace(0, 2 * np.pi, 2049)
-        base = SampledCurve(t, np.stack([np.sin(t), 0.5 * t], axis=1))
-        base, _ = normalize_to_standard_frame(base)
-        for _ in range(5):
-            g = random_rigid(RNG)
-            _, h = normalize_to_standard_frame(base.transformed(g))
-            comp = h.compose(g)
-            assert np.abs(comp.linear - np.eye(2)).max() < 1e-6
-            assert np.abs(comp.translation).max() < 1e-6
-
-    def test_recovers_inverse_on_non_uniform_parameters(self):
-        u = np.linspace(0.0, 1.0, 2049)
-        t = 2 * np.pi * u + 0.3 * np.sin(2 * np.pi * u)
-        base = SampledCurve(t, np.stack([np.sin(t), 1.0 - np.cos(t)], axis=1))
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            g = random_rigid(rng)
-            _, h = normalize_to_standard_frame(base.transformed(g))
-            comp = h.compose(g)
-            assert np.abs(comp.linear - np.eye(2)).max() < 1e-6
-            assert np.abs(comp.translation).max() < 1e-6
-
-    def test_zero_tangent_rejected(self):
-        # the curve rests at its start for its first 4 samples, so its start tangent is 0
-        t = np.linspace(0.5, 1.5, 51)
-        resting = SampledCurve(t, np.stack([np.maximum(t - 0.6, 0.0), np.zeros_like(t)], axis=1))
-        message = f"zero tangent at parameter {t[0]!r}: non-regular parametrization"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            normalize_to_standard_frame(resting)
 
 
 class TestSampledCurve:

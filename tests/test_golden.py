@@ -111,13 +111,21 @@ def cli_digests(outdir: Path) -> list:
 
 
 def demo_digests() -> dict:
-    """Each demo run in this interpreter, as its own ``__main__``; digests of the stdout it prints."""
+    """Each demo run in this interpreter, as its own ``__main__``; digests of the stdout it prints.
+
+    ``demos/`` goes on ``sys.path`` for the runs, as for ``python demos/<demo>.py``, so ``import support`` works.
+    """
     digests = {}
-    for path in sorted((REPO / "demos").glob("[0-9]*.py")):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            runpy.run_path(str(path), run_name="__main__")
-        digests[path.name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    demos = str(REPO / "demos")
+    sys.path.insert(0, demos)
+    try:
+        for path in sorted((REPO / "demos").glob("[0-9]*.py")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                runpy.run_path(str(path), run_name="__main__")
+            digests[path.name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    finally:
+        sys.path.remove(demos)
     return digests
 
 

@@ -94,6 +94,28 @@ class TestCurveCsv:
             assert cli.main(["reconstruct", "euclid", "--curvature", f"table:{p}", "--domain", "0:1"]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("reader", ["curve-csv", "table-csv", "table-spec"])
+    @pytest.mark.parametrize("rows, message", [
+        (['"0', '",0', "1,oops"], "{path}:4: cannot parse number 'oops'"),
+        (['"0', '",0', "2,1", "1,1"], "{path}:5: parameter column not strictly increasing"),
+    ], ids=["bad-number", "non-monotone"])
+    def test_line_number_counts_the_lines_of_a_quoted_field(self, tmp_path, capsys, reader, rows, message):
+        # the quoted first field spans lines 2 and 3, so each later row sits one line below its record number
+        p = tmp_path / "quoted.csv"
+        if reader == "curve-csv":
+            header, rows = "s,x,y", [r if r == '"0' else r + ",0" for r in rows]
+        else:
+            header = "t,value"
+        p.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        message = message.format(path=p)
+        if reader == "table-spec":
+            assert cli.main(["reconstruct", "euclid", "--curvature", f"table:{p}", "--domain", "0:1"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        else:
+            with pytest.raises(CsvFormatError) as exc:
+                (read_curve_csv if reader == "curve-csv" else read_table_csv)(p)
+            assert str(exc.value) == message
+
     def test_table_round_trip(self, tmp_path):
         g = np.linspace(0, 1, 17)
         v = np.sin(g)

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -80,31 +81,19 @@ class TestCurve:
 
 
 class TestCoefficients:
-    def test_zero_pattern_exact(self):
-        for k in (0, 1, 2, 3):
-            K = k + 2
-            b = series.b_coefficients(c=1.0, k=k, n_max=4 * K + 1)
-            for n in range(b.shape[0]):
-                if n % K in (0, 1):
-                    assert np.abs(b[n]).max() > 0.0
-                else:
-                    assert np.abs(b[n]).max() == 0.0
-
     def test_recurrence_matches_gamma_closed_form(self):
-        # u_i from the recurrence equals psi_minus * (-c)^i / (i! K^i); the
-        # psi factor itself is cross-checked against its gamma form
-        c = 1.0
-        for k in range(0, 7):  # K = 2..8
-            K = k + 2
-            for i in range(1, 21):
-                pm, pp, gm, gp = series.gamma_ratio_check(K, i)
-                assert abs(pm - gm) <= 1e-10 * abs(pm)
-                assert abs(pp - gp) <= 1e-10 * abs(pp)
-                expect_u = pm * (-c) ** i / (math.factorial(i) * K**i)
-                b = series.b_coefficients(c, k, K * i + 1)
-                assert abs(b[K * i][0] - expect_u) <= 1e-10 * abs(expect_u) + 1e-300
-                expect_v = pp * (-c) ** i / (math.factorial(i) * K**i)
-                assert abs(b[K * i + 1][1] - expect_v) <= 1e-10 * abs(expect_v) + 1e-300
+        # u_i = (-c)^i / (K^(2i) i! (1 - 1/K)_i) and v_i the same with (1 + 1/K)_i, the rising
+        # factorial (a)_i = Gamma(a + i) / Gamma(a), evaluated by mpmath at 40 digits
+        with mpmath.workdps(40):
+            for c in (1.0, -2.5, 0.3):
+                for K in range(2, 9):
+                    u, v = series.tangent_coefficients(MonomialCurvature(c, K - 2), 2.0)
+                    assert u.size > 12
+                    for i in range(u.size):
+                        common = mpmath.mpf(-c) ** i / (mpmath.mpf(K) ** (2 * i) * mpmath.factorial(i))
+                        for got, a in ((u[i], 1 - mpmath.mpf(1) / K), (v[i], 1 + mpmath.mpf(1) / K)):
+                            want = common / mpmath.rf(a, i)
+                            assert abs((got - want) / want) <= 1e-14
 
     def test_terms_eventually_decrease(self):
         u, v = series.tangent_coefficients(MonomialCurvature(3.0, 1), 2.5, tol=1e-14)
@@ -136,26 +125,3 @@ class TestCoefficients:
                 series.tangent_coefficients(mu, alpha, tol=1e-14)
         else:
             assert series.tangent_coefficients(mu, alpha, tol=1e-14)[0].size > u.size
-
-
-class TestGammaRatio:
-    def test_single_factor_values(self):
-        pm, pp, gm, gp = series.gamma_ratio_check(2, 1)
-        assert pm == 1.0 and abs(pp - 1.0 / 3.0) < 1e-15
-        assert abs(gm - 1.0) < 1e-12 and abs(gp - 1.0 / 3.0) < 1e-12
-
-    def test_two_factor_product(self):
-        pm, _, gm, _ = series.gamma_ratio_check(3, 2)
-        assert abs(pm - 0.1) < 1e-15  # 1 / (2 * 5)
-        assert abs(gm - 0.1) < 1e-12
-
-    def test_agreement_sweep(self):
-        for K in range(2, 9):
-            for i in range(1, 21):
-                pm, pp, gm, gp = series.gamma_ratio_check(K, i)
-                assert abs(pm - gm) <= 1e-10 * pm
-                assert abs(pp - gp) <= 1e-10 * pp
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            series.gamma_ratio_check(1, 1)
