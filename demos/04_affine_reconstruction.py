@@ -9,8 +9,6 @@ that many sweeps.  The factorial tail bound of the planned sweep count is a
 guaranteed frame error.
 """
 
-import math
-
 import numpy as np
 
 from curverecon import affine, parse_spec

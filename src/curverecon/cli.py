@@ -5,6 +5,7 @@ failure, 4 certified bound violated (a regression tripwire for CI).
 """
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -28,6 +29,8 @@ EXIT_SOLVER = 3
 EXIT_BOUND = 4
 
 
+# built on the first request and kept: parse_args reads the parser and returns a fresh namespace each call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="curverecon",

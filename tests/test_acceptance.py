@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from curverecon import affine, euclidean, series
 from curverecon.curvatures import bump, parse_spec

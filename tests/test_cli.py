@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curverecon import affine, cli, euclidean
+from curverecon.curvatures import TableCurvature
 from curverecon.curveio import read_curve_csv, write_table_csv
 from curverecon.geometry import BoundReport, grid_distance, hausdorff_distance
 
@@ -301,16 +302,26 @@ class TestReconstruct:
         assert "monomial" in err
 
 
-@pytest.fixture(scope="module")
-def bad_tables(tmp_path_factory):
-    """4097-row tables on [0, 100], 1.0 everywhere but row 10, which holds nan (``nan.csv``) or inf (``inf.csv``)."""
-    path = tmp_path_factory.mktemp("bad_tables")
+@pytest.fixture
+def bad_tables(monkeypatch):
+    """Specs ``table:nan`` and ``table:inf`` (``,periodic`` allowed): 4097 rows on [0, 100], 1.0 everywhere but
+    row 10, which holds the named value.
+
+    The CSV reader refuses a cell that is not finite (exit 2), so these tables reach the solvers as a library
+    caller builds one, through ``TableCurvature``; every other spec goes through the CLI's own parser.
+    """
     t = np.linspace(0.0, 100.0, 4097)
-    for bad in ("nan", "inf"):
+    parse = cli.parse_spec_cli
+
+    def parse_with_bad_tables(text):
+        name, _, flag = text.removeprefix("table:").partition(",")
+        if not (text.startswith("table:") and name in ("nan", "inf")):
+            return parse(text)
         values = np.ones_like(t)
-        values[10] = float(bad)
-        write_table_csv(t, values, path / f"{bad}.csv")
-    return path
+        values[10] = float(name)
+        return TableCurvature(t, values, periodic=flag == "periodic")
+
+    monkeypatch.setattr(cli, "parse_spec_cli", parse_with_bad_tables)
 
 
 class TestNonFiniteCurvature:
@@ -324,7 +335,8 @@ class TestNonFiniteCurvature:
         (("compare", "euclid", "const:1", "<table>", "--domain", "0:12"), 0.22265625),
     ], ids=["reconstruct-affine", "reconstruct-euclid", "reconstruct-euclid-samples", "compare-affine",
             "compare-euclid"])
-    def test_refused_before_any_sweep(self, capsys, monkeypatch, bad_tables, argv, at, bad):
+    @pytest.mark.usefixtures("bad_tables")
+    def test_refused_before_any_sweep(self, capsys, monkeypatch, argv, at, bad):
         calls = []
         for module in (affine, euclidean):
             def counted(*args, simpson=module.cumulative_simpson):
@@ -332,8 +344,7 @@ class TestNonFiniteCurvature:
                 return simpson(*args)
 
             monkeypatch.setattr(module, "cumulative_simpson", counted)
-        table = f"table:{bad_tables / bad}.csv"
-        code, stdout, err = run_cli(capsys, *(table if a == "<table>" else a for a in argv))
+        code, stdout, err = run_cli(capsys, *(f"table:{bad}" if a == "<table>" else a for a in argv))
         assert (code, stdout) == (3, "")
         assert err == f"solver error: curvature {bad} at parameter {at!r} past the domain start is not finite\n"
         assert calls == []
@@ -341,15 +352,15 @@ class TestNonFiniteCurvature:
     # the table's trapezoid and const's closed form give the ratio itself; the other two have no hook at
     # their period, so the probe refuses their first non-finite sample before anything is summed
     @pytest.mark.parametrize("curvature, period, err", [
-        ("table:<nan>,periodic", "100", "turning ratio nan over period 100.0 is not finite"),
+        ("table:nan,periodic", "100", "turning ratio nan over period 100.0 is not finite"),
         ("const:1e308", "100", "turning ratio inf over period 100.0 is not finite"),
         ("monomial:1,400", "10", "curvature inf at parameter 5.8984375 past the domain start is not finite"),
-        ("table:<nan>,periodic", "50", "curvature nan at parameter 0.23193359375 past the domain start is not finite"),
+        ("table:nan,periodic", "50", "curvature nan at parameter 0.23193359375 past the domain start is not finite"),
     ], ids=["table-ratio", "const-ratio", "monomial-probe", "table-probe"])
     @no_runtime_warning
-    def test_classify_refused(self, capsys, bad_tables, curvature, period, err):
-        spec = curvature.replace("<nan>", str(bad_tables / "nan.csv"))
-        code, stdout, got = run_cli(capsys, "classify", "--curvature", spec, "--period", period)
+    @pytest.mark.usefixtures("bad_tables")
+    def test_classify_refused(self, capsys, curvature, period, err):
+        code, stdout, got = run_cli(capsys, "classify", "--curvature", curvature, "--period", period)
         assert (code, stdout, got) == (3, "", f"solver error: {err}\n")
 
     def test_stderr_holds_only_the_refusal(self, tmp_path):
@@ -489,6 +500,34 @@ class TestCompare:
                                   "--domain", "0:1")
         assert code == 4
         assert json.loads(stdout)["satisfied"] is False
+
+
+class TestOneParser:
+    # a usage error first, then each flag given and left to its default, so a value or an error that one
+    # request left on the shared parser would show in the next
+    SEQUENCE = [
+        ("reconstruct", "affine", "--bogus"),
+        ("reconstruct", "affine", "--curvature", "const:1", "--domain", "0:1", "--tol", "1e-8"),
+        ("reconstruct", "affine", "--curvature", "const:1", "--domain", "0:1"),
+        ("compare", "euclid", "sin", "kn:10", "--domain", "0:1", "--norm", "l1"),
+        ("compare", "euclid", "sin", "kn:10", "--domain", "0:1"),
+        ("compare", "euclid", "sin", "kn:10", "--domain", "-1:1"),
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_requests_in_one_process_print_what_fresh_processes_print(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage message to the terminal width
+        for argv in self.SEQUENCE:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-E", "-s", "-m", "curverecon.cli", *argv], cwd=SRC,
+                                   capture_output=True, text=True, timeout=120)
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def _exact(r: Fraction) -> str:

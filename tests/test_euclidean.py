@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from curverecon import euclidean
-from curverecon.curvatures import TableCurvature, parse_spec
+from curverecon.curvatures import parse_spec
 from curverecon.geometry import RigidMotion, SampledCurve, grid_distance, hausdorff_distance
 
 PI = math.pi

@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 from curverecon import cli, euclidean
 from curverecon.curvatures import parse_spec
 from curverecon.curveio import (
+    _CHUNK_ROWS,
     CsvFormatError,
+    _svg_coords,
     bound_report_json,
     closure_report_json,
     emit_svg,
@@ -116,6 +118,39 @@ class TestCurveCsv:
                 (read_curve_csv if reader == "curve-csv" else read_table_csv)(p)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("reader", ["curve-csv", "table-csv", "table-spec"])
+    @pytest.mark.parametrize("rows, column, value", [
+        (["0,1", "inf,2"], 0, "inf"),
+        (["0,1", "nan,2", "1,3"], 0, "nan"),
+        (["0,1", "1,nan", "2,1"], 1, "nan"),
+        (["0,1", "1,1e999", "2,1"], 1, "inf"),
+    ], ids=["inf-parameter", "nan-parameter", "nan-value", "overflowing-value"])
+    def test_cell_that_is_not_finite_is_refused(self, tmp_path, capsys, reader, rows, column, value):
+        # each bad cell sits on line 3; before the readers refused them, a NaN passed the monotonicity check
+        p = tmp_path / "nonfinite.csv"
+        header = "s,x,y" if reader == "curve-csv" else "t,value"
+        if reader == "curve-csv":
+            rows = [r + ",0" for r in rows]
+        p.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        message = f"{p}:3: column {header.split(',')[column]!r} reads as {value}, not a finite number"
+        if reader == "table-spec":
+            assert cli.main(["reconstruct", "euclid", "--curvature", f"table:{p}", "--domain", "0:1"]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        else:
+            with pytest.raises(CsvFormatError) as exc:
+                (read_curve_csv if reader == "curve-csv" else read_table_csv)(p)
+            assert str(exc.value) == message
+
+    def test_bad_cell_deep_in_a_table_names_its_line(self, tmp_path):
+        # rows parse a whole row at a time; the cell-by-cell pass that names the cell runs only for a failed row
+        lines = [f"{i},{i * 0.5}" for i in range(1500)]
+        lines[1200] = "1200,oops"
+        p = tmp_path / "deep.csv"
+        p.write_text("t,value\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError) as exc:
+            read_table_csv(p)
+        assert str(exc.value) == f"{p}:1202: cannot parse number 'oops'"
+
     def test_table_round_trip(self, tmp_path):
         g = np.linspace(0, 1, 17)
         v = np.sin(g)
@@ -123,6 +158,67 @@ class TestCurveCsv:
         g2, v2 = read_table_csv(tmp_path / "t.csv")
         assert_allclose(g2, g, rtol=0, atol=0)
         assert_allclose(v2, v, rtol=0, atol=0)
+
+
+def random_doubles(rng, n):
+    """``n`` doubles from uniform random bit patterns: every exponent, subnormals, infinities and NaN."""
+    return rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+
+
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-5]
+
+
+class TestChunkedWriters:
+    """The writers format a chunk of rows with one ``%``; the bytes equal ``format`` cell by cell across a chunk
+    boundary."""
+
+    n = _CHUNK_ROWS + 1
+
+    @staticmethod
+    def reference_csv(header, *columns):
+        rows = (",".join(format(float(x), ".17g") for x in row) + "\n" for row in zip(*columns))
+        return (header + "\n" + "".join(rows)).encode()
+
+    def test_table_csv(self, tmp_path):
+        rng = np.random.default_rng(25)
+        grid, values = random_doubles(rng, self.n), random_doubles(rng, self.n)
+        grid[:len(EDGES)] = values[-len(EDGES):] = EDGES
+        grid[_CHUNK_ROWS - 1:_CHUNK_ROWS + 1] = [-0.0, 5e-324]
+        write_table_csv(grid, values, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == self.reference_csv("t,value", grid, values)
+
+    def test_curve_csv(self, tmp_path):
+        rng = np.random.default_rng(26)
+        finite = random_doubles(rng, 4 * self.n)
+        finite = finite[np.isfinite(finite)]
+        params = np.sort(rng.choice(np.unique(finite), self.n, replace=False))
+        points = finite[:2 * self.n].reshape(-1, 2).copy()
+        points[:len(EDGES), 0] = points[-len(EDGES):, 1] = EDGES
+        points[_CHUNK_ROWS - 1:_CHUNK_ROWS + 1] = [[-0.0, 5e-324], [1.7976931348623157e308, -0.0]]
+        write_curve_csv(SampledCurve(params, points), tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == self.reference_csv("s,x,y", params, points[:, 0], points[:, 1])
+
+    def test_svg_points(self, tmp_path):
+        # a [0, 560] x [0, 400] bounding box fills the 560 x 400 plot area at scale 1 from the corner (40, 40);
+        # multiples of 1/16 put binary ties on the third decimal
+        rng = np.random.default_rng(27)
+        pts = np.column_stack([rng.uniform(0, 560, self.n), rng.uniform(0, 400, self.n)])
+        pts[:1000] = np.round(pts[:1000] * 16) / 16
+        pts[0], pts[-1] = (0.0, 0.0), (560.0, 400.0)
+        emit_svg(((SampledCurve(np.arange(self.n, dtype=float), pts), ""),), tmp_path / "p.svg")
+        line = ElementTree.parse(tmp_path / "p.svg").getroot().find("{http://www.w3.org/2000/svg}polyline")
+        xs, ys = 40.0 + (pts[:, 0] - 0.0) * 1.0, 40.0 + (400.0 - pts[:, 1]) * 1.0
+        assert line.get("points") == " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys))
+
+    def test_svg_coords_round_to_negative_zero(self):
+        # scale 1 from the origin leaves x as it is and negates y, so small values of either sign reach %.3f
+        rng = np.random.default_rng(28)
+        pts = rng.uniform(-0.002, 0.002, (self.n, 2))
+        pts[:4] = [[-0.0, 0.0], [-0.0004, 0.0004], [-0.0005, 0.0005], [1e-300, -1e-300]]
+        coords = _svg_coords(pts, 1.0, 0.0, 0.0, 0.0, 0.0)
+        xs, ys = 0.0 + (pts[:, 0] - 0.0) * 1.0, 0.0 + (0.0 - pts[:, 1]) * 1.0
+        assert coords == " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys))
+        assert "-0.000," in coords and ",-0.000" in coords
 
 
 class TestSvg:
