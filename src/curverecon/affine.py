@@ -3,9 +3,9 @@
 The frame rows (affine tangent and normal) satisfy a linear ODE whose
 coefficient matrix holds the affine curvature.  Reconstruction targets the
 fixed point of the iteration ``A_n = A0 + integral(C * A_{n-1})`` (Simpson
-on the grid) with a certified a-priori tail bound, so the returned frames
-carry a guaranteed error.  A tol-driven run solves for that fixed point in
-one pass; a run given only a sweep count applies exactly that many sweeps.
+on the grid).  A run given a sweep count applies exactly that many sweeps and
+certifies their truncation with an a-priori tail bound; every other run solves
+for the fixed point in one pass, on a grid sized by its tolerance.
 """
 
 import math
@@ -68,21 +68,25 @@ def conic_frames(mu: float, alpha) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PicardResult:
-    """Converged frames plus the certified truncation data of the run.
+    """Frames of one Picard run plus the certified truncation data of its sweeps.
 
-    The frames sit on the grid of the returned curve, ``curve.params``.
-    ``iterations`` is the planned sweep count whose a-priori ``tail_bound`` covers
-    the truncation.  A run that sweeps records one ``step_gaps`` entry per sweep; a
-    direct solve of the sweeps' fixed point runs none and leaves ``step_gaps`` empty.
+    The frames sit on the grid of the returned curve, ``curve.params``.  A run
+    that sweeps records one ``step_gaps`` entry per sweep, and its a-priori
+    ``tail_bound`` covers the truncation after them; a direct solve of the sweeps'
+    fixed point runs none, leaves ``step_gaps`` empty and has ``tail_bound`` 0.0.
     ``frames`` is entry-major, an ``(n, 2, 2)`` view of a C-ordered ``(2, 2, n)``
     array, so each sweep works on runs of n nodes.
     """
 
     frames: np.ndarray
-    iterations: int
     c: float
     tail_bound: float
     step_gaps: tuple = field(default=(), compare=False)
+
+    @property
+    def iterations(self) -> int:
+        """The number of sweeps run."""
+        return len(self.step_gaps)
 
     @property
     def grid_size(self) -> int:
@@ -102,47 +106,32 @@ def _exp_or_inf(x: float, exp=math.exp) -> float:
         return math.inf
 
 
-def _iterations_for_tol(c: float, length: float, tol: float, a0_norm: float) -> int:
-    log_tol = math.log(tol)
-    for n in range(ITERATION_CAP + 1):
-        if _log_tail(c, length, n, a0_norm) <= log_tol:
-            return n
-    raise ValueError(f"tail tolerance {tol:.1e} unreachable within {ITERATION_CAP} iterations")
+def _plan(c: float, length: float, n_grid=None, iterations=None, tol=None) -> int:
+    """The grid size of one Picard run, fixed before any work.
 
-
-def _plan(c: float, length: float, a0_norm: float, n_grid=None, iterations=None, tol=None):
-    """``(iterations, n_grid, sweeps_only)`` of one Picard run, fixed before any work.
-
-    ``sweeps_only`` (``iterations`` given, ``tol`` not) asks for exactly that many sweeps;
-    every other run solves for their fixed point directly.
-
-    Sweeps: ``iterations``, else the first count whose tail bound is below ``tol`` (1e-10).
-    Grid: ``n_grid``, else 32 L sqrt(c) / pi nodes when only ``iterations`` is given, else
-    enough that h^4 c L <= 0.01 tol (GRID_CAP when h underflows to 0) and at least
+    ``n_grid``, else 32 L sqrt(c) / pi nodes for a sweeps-only run (``iterations``
+    given), else enough that h^4 c L <= 0.01 tol (tol 1e-10 by default) and at least
     4 L sqrt(c) / pi; a derived grid is clamped to [1025, GRID_CAP], and every grid is
-    made odd and at least 17.  Refused (``ValueError``):
-    ``n_grid`` > GRID_CAP, ``iterations`` > ITERATION_CAP, and more than WORK_CAP node-sweeps.
+    made odd and at least 17.  Refused (``ValueError``): ``n_grid`` > GRID_CAP and,
+    for a sweeps-only run, ``iterations`` > ITERATION_CAP or more than WORK_CAP
+    node-sweeps.
     """
     if n_grid is not None and n_grid > GRID_CAP:
         raise ValueError(f"{n_grid} grid nodes exceed the cap of {GRID_CAP}")
     if iterations is not None and iterations > ITERATION_CAP:
         raise ValueError(f"{iterations} sweeps exceed the cap of {ITERATION_CAP}")
-    sweeps_only = iterations is not None and tol is None
-    tol = 1e-10 if tol is None else tol
-    if iterations is None:
-        iterations = _iterations_for_tol(c, length, tol, a0_norm)
     if n_grid is None:
-        if sweeps_only:
+        if iterations is not None:
             n_grid = math.ceil(min(32.0 * length * math.sqrt(c) / math.pi, GRID_CAP))
         else:
-            h = (0.01 * tol / (c * length)) ** 0.25
-            steps = math.ceil(length / h) if h > 0.0 else GRID_CAP
-            n_grid = max(steps + 1, math.ceil(4.0 * length * math.sqrt(c) / math.pi))
+            h = (0.01 * (1e-10 if tol is None else tol) / (c * length)) ** 0.25
+            steps = math.ceil(min(length / h, GRID_CAP)) if h > 0.0 else GRID_CAP
+            n_grid = max(steps + 1, math.ceil(min(4.0 * length * math.sqrt(c) / math.pi, GRID_CAP)))
         n_grid = min(GRID_CAP, max(1025, n_grid))
     n_grid = odd_sample_count(max(int(n_grid), 17))
-    if iterations * n_grid > WORK_CAP:
+    if iterations is not None and iterations * n_grid > WORK_CAP:
         raise ValueError(f"{iterations} sweeps x {n_grid} nodes exceed the work cap of {WORK_CAP}")
-    return iterations, n_grid, sweeps_only
+    return n_grid
 
 
 # the sweeps converge while h^2 max|mu| stays below this root of 9 - 3s - s^2 (see _fixed_point_frames)
@@ -198,25 +187,25 @@ def picard(
 ):
     """Reconstruct a curve from its affine curvature by Picard iteration.
 
-    With ``iterations`` and no ``tol``, applies exactly that many sweeps.
+    With ``iterations``, applies exactly that many sweeps, and the returned
+    :class:`PicardResult` carries the certified ``tail_bound`` of their truncation.
     Otherwise returns the sweeps' fixed point, solved in one pass by
-    :func:`_fixed_point_frames`; ``iterations`` is then the count whose a-priori
-    tail bound drops below ``tol`` (default 1e-10), given or planned, and a grid
+    :func:`_fixed_point_frames` on a grid sized by ``tol`` (default 1e-10); a grid
     with h^2 max|mu| >= _STEP_CURVATURE_LIMIT, on which the sweeps would diverge,
-    is refused.  :func:`_plan` sets the sweeps and grid and refuses over-cap runs
-    before any work.  Without ``pose`` the curve has canonical initial data
-    (origin, identity frame); with it, the initial frame is the inverse of
-    ``pose``'s linear part and the curve starts at its translation, which is
-    ``pose`` applied to the canonical curve.  Returns the curve and a
-    :class:`PicardResult` carrying the certified ``tail_bound`` of the planned count.
+    is refused.  ``iterations`` and ``tol`` exclude each other.  :func:`_plan` sets
+    the grid and refuses over-cap runs before any work.  Without ``pose`` the curve
+    has canonical initial data (origin, identity frame); with it, the initial frame
+    is the inverse of ``pose``'s linear part and the curve starts at its
+    translation, which is ``pose`` applied to the canonical curve.
     """
     if length <= 0:
         raise ValueError("length must be positive")
+    if iterations is not None and tol is not None:
+        raise ValueError("iterations and tol exclude each other")
     A0, origin = (np.eye(2), np.zeros(2)) if pose is None else (pose.inverse().linear, pose.translation)
-    a0_norm = sup_norm(A0)
 
     c = max(1.0, sup_norm(probe(mu, length)))
-    iterations, n_grid, sweeps_only = _plan(c, length, a0_norm, n_grid, iterations, tol)
+    n_grid = _plan(c, length, n_grid, iterations, tol)
 
     grid = np.linspace(0.0, length, n_grid)
     h = grid[1] - grid[0]
@@ -225,7 +214,7 @@ def picard(
     c = max(1.0, mu_max, c)
 
     gaps = []
-    if sweeps_only:
+    if iterations is not None:
         frames = np.empty((2, 2, n_grid)).transpose(2, 0, 1)
         frames[...] = A0
         base = A0[None, :, :]
@@ -236,6 +225,7 @@ def picard(
             new = base + cumulative_simpson(ca, h)
             gaps.append(float(np.abs(new - frames).max()))
             frames = new
+        tail_bound = _exp_or_inf(_log_tail(c, length, iterations, sup_norm(A0)))
     else:
         s = h * h * mu_max
         if s >= _STEP_CURVATURE_LIMIT:
@@ -244,26 +234,25 @@ def picard(
                 "where Picard sweeps diverge; use more samples"
             )
         frames = _fixed_point_frames(mu_vals, h, A0)
+        tail_bound = 0.0
 
     pts = origin + cumulative_simpson(frames[:, 0, :], h)
-    result = PicardResult(
-        frames=frames,
-        iterations=iterations,
-        c=c,
-        tail_bound=_exp_or_inf(_log_tail(c, length, iterations, a0_norm)),
-        step_gaps=tuple(gaps),
-    )
+    result = PicardResult(frames=frames, c=c, tail_bound=tail_bound, step_gaps=tuple(gaps))
     return SampledCurve(grid, pts), result
 
 
 def bound_check(mu1, mu2, length: float) -> BoundReport:
     """Certify the affine reconstruction-distance bound for two curvatures.
 
-    Both curves are rebuilt with canonical initial data (realizing the
-    registering map) on one grid; their pointwise distance
+    Both curves are rebuilt by direct solves with canonical initial data
+    (realizing the registering map) on one grid; their pointwise distance
     max_alpha |c1(alpha) - c2(alpha)| on it is compared against
     sqrt(2) * (delta L / c_hat) * (e^(c_hat L) - 1), with delta = sup |mu1 - mu2|
-    and c_hat = max(1, sup |mu1|, sup |mu2|) on the 4097-node probe.
+    and c_hat = max(1, sup |mu1|, sup |mu2|) on the 4097-node probe.  The shared
+    grid is sized as :func:`picard` sizes a direct run, from c_hat and a tol of
+    0.01 bound clamped to [1e-13, 1e-10].
+    ``solver_floor`` is a stated round-off floor of 1e-12: a direct solve has no
+    truncation, and its discretization error is not yet bounded.
     """
     v1, v2 = probe(mu1, length), probe(mu2, length)
     delta, c_hat = sup_norm(v1 - v2), max(1.0, sup_norm(v1), sup_norm(v2))
@@ -274,11 +263,9 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
         bound = math.sqrt(2.0) * delta * length / c_hat * grow
 
     tol = max(1e-13, min(1e-10, 0.01 * bound)) if bound > 0 else 1e-13
-    n_iter, n_grid, _ = _plan(c_hat, length, 1.0, tol=tol)
-    c1, r1 = picard(mu1, length, n_grid=n_grid, iterations=n_iter, tol=tol)
-    c2, r2 = picard(mu2, length, n_grid=n_grid, iterations=n_iter, tol=tol)
-    measured = grid_distance(c1, c2)
-    floor = max(1e-12, 2.0 * length * (r1.tail_bound + r2.tail_bound))
+    n_grid = _plan(c_hat, length, tol=tol)
+    c1, _ = picard(mu1, length, n_grid=n_grid)
+    c2, _ = picard(mu2, length, n_grid=n_grid)
     return BoundReport(
         mode="affine",
         norm="linf",
@@ -286,6 +273,6 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
         length=length,
         c_hat=c_hat,
         bound=bound,
-        measured=measured,
-        solver_floor=floor,
+        measured=grid_distance(c1, c2),
+        solver_floor=1e-12,
     )

@@ -39,7 +39,7 @@ __all__ = [
 
 
 class CsvFormatError(ValueError):
-    """Malformed CSV; message carries the file and line number."""
+    """Malformed CSV, read or about to be written; message carries the file and line number."""
 
 
 def _parse_float(text: str, path, line_no: int) -> float:
@@ -47,6 +47,14 @@ def _parse_float(text: str, path, line_no: int) -> float:
         return float(text)
     except ValueError:
         raise CsvFormatError(f"{path}:{line_no}: cannot parse number {text!r}") from None
+
+
+def _refuse_non_finite(path, data, header, line_nos) -> None:
+    not_finite = np.argwhere(~np.isfinite(data))
+    if len(not_finite):
+        r, c = not_finite[0]
+        raise CsvFormatError(f"{path}:{line_nos[r]}: column {header[c]!r} reads as {float(data[r, c])}, "
+                             "not a finite number")
 
 
 def _read_rows(path, expected_headers):
@@ -87,11 +95,7 @@ def _read_rows(path, expected_headers):
                 rows.append([_parse_float(cell, path, line_no) for cell in row])
             line_nos.append(line_no)
     data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    not_finite = np.argwhere(~np.isfinite(data))
-    if len(not_finite):
-        r, c = not_finite[0]
-        raise CsvFormatError(f"{path}:{line_nos[r]}: column {header[c]!r} reads as {float(data[r, c])}, "
-                             "not a finite number")
+    _refuse_non_finite(path, data, header, line_nos)
     if len(rows) < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows")
     steps = np.diff(data[:, 0])
@@ -117,7 +121,9 @@ def _formatted_chunks(row_template: str, table):
 
 
 def _write_rows(path, header: str, *columns) -> None:
+    """Write the rows, or refuse a non-finite cell, which the readers would refuse, before opening ``path``."""
     table = np.column_stack(columns).astype(float)
+    _refuse_non_finite(path, table, header.split(","), range(2, len(table) + 2))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(header + "\n")
         fh.writelines(_formatted_chunks(",".join(["%.17g"] * len(columns)) + "\n", table))

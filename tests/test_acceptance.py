@@ -150,15 +150,15 @@ def test_c09_equivariance_100_random_elements():
         assert np.abs(base.transformed(g).points - via_pose.points).max() <= 1e-8
 
     mu = parse_spec("const:2")
-    base_curve, base_res = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10)
+    base_curve, _ = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10)
     for _ in range(100):
         a = rng.uniform(0.5, 2.0)
         b, c = rng.uniform(-1.0, 1.0, 2)
         m = np.array([[a, b], [c, (1.0 + b * c) / a]])
         g = EquiAffineMap(m, rng.uniform(-2.0, 2.0, 2))
-        moved, moved_res = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10, pose=g)
-        budget = 10.0 * max(base_res.tail_bound, moved_res.tail_bound)
-        assert np.abs(base_curve.transformed(g).points - moved.points).max() <= budget
+        moved, _ = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10, pose=g)
+        # a direct solve has no truncation, so only round-off separates the two curves
+        assert np.abs(base_curve.transformed(g).points - moved.points).max() <= 1e-12
 
 
 def _run_figures(outdir: Path):

@@ -86,25 +86,31 @@ class TestPicard:
     def test_unimodular_along_grid(self):
         _, res = affine.picard(parse_spec("mun:2/5"), 2.0, tol=1e-10)
         det = np.linalg.det(res.frames)
-        assert np.abs(det - 1.0).max() <= 10.0 * res.tail_bound + 1e-10
+        assert np.abs(det - 1.0).max() <= 1e-10
 
     def test_equivariance(self):
         mu = const(2.0)
-        base_curve, base_res = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10)
+        base_curve, _ = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10)
         for _ in range(5):
             a = RNG.uniform(0.5, 2.0)
             b, c = RNG.uniform(-1.0, 1.0, 2)
             m = np.array([[a, b], [c, (1.0 + b * c) / a]])
             g = EquiAffineMap(m, RNG.uniform(-2, 2, 2))
-            moved, moved_res = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10, pose=g)
-            tol = 10.0 * max(base_res.tail_bound, moved_res.tail_bound)
-            assert np.abs(base_curve.transformed(g).points - moved.points).max() <= tol
+            moved, _ = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10, pose=g)
+            # a direct solve has no truncation, so only round-off separates the two curves
+            assert np.abs(base_curve.transformed(g).points - moved.points).max() <= 1e-12
 
     def test_iteration_cap_refusal_is_a_plain_value_error(self):
-        with pytest.raises(ValueError, match=re.escape(
-                "tail tolerance 1.0e-10 unreachable within 10000 iterations")) as exc:
-            affine.picard(const(2500.0), 2.0, tol=1e-10)
+        with pytest.raises(ValueError, match=re.escape("10001 sweeps exceed the cap of 10000")) as exc:
+            affine.picard(const(2500.0), 2.0, iterations=10_001)
         assert type(exc.value) is ValueError
+
+    def test_iterations_with_tol_is_refused(self, simpson_calls):
+        # a tol run solves for the fixed point, so a sweep count beside it would certify sweeps that never ran
+        with pytest.raises(ValueError, match="^iterations and tol exclude each other$") as exc:
+            affine.picard(const(1.0), 1.0, iterations=3, tol=1e-10)
+        assert type(exc.value) is ValueError
+        assert simpson_calls == []
 
     def test_non_unimodular_frame_rejected(self):
         with pytest.raises(ValueError, match="determinant 1"):
@@ -147,7 +153,7 @@ SHEAR = EquiAffineMap(np.array([[1.0, 0.75], [0.0, 1.0]]), np.array([0.5, -2.0])
 
 
 class TestFixedPointExit:
-    # the tol-driven cases run the grid and sweep count that tol=1e-10 plans, as a sweeps-only run
+    # a given n_grid is the grid that tol=1e-10 sizes for the same curvature and length
     @pytest.mark.parametrize("spec, length, kwargs, fixed_at", [
         ("mun:2/5", 2.0, {"n_grid": 3773, "iterations": 59}, 32),
         ("const:2", 2.0, {"n_grid": 2831, "iterations": 26}, None),  # every gap positive
@@ -178,7 +184,7 @@ class TestFixedPointExit:
     def test_simpson_calls_per_path(self, simpson_calls):
         # a direct solve integrates once, for the points; a sweeps-only run once per sweep and once more
         _, res = affine.picard(parse_spec("mun:2/5"), 2.0, tol=1e-10)
-        assert (res.iterations, len(simpson_calls)) == (59, 1)
+        assert (res.iterations, len(simpson_calls)) == (0, 1)
         simpson_calls.clear()
         affine.picard(parse_spec("mun:2/5"), 2.0, n_grid=3773, iterations=59)
         assert len(simpson_calls) == 59 + 1
@@ -200,15 +206,16 @@ class TestFixedPointExit:
 
 
 class TestDirectSolve:
-    @pytest.mark.parametrize("spec, length, pose", [
-        ("mun:2/5", 2.0, None),
-        ("const:2", 2.0, None),
-        ("mun:3/5", 4.0, None),
-        ("monomial:1,2", 3.0, None),
-        ("const:-3", 2.0, None),
-        ("mun:2/5", 2.0, SHEAR),
+    # each sweep count takes the sweeps to within 1e-10 of their fixed point, by the a-priori tail bound
+    @pytest.mark.parametrize("spec, length, sweeps, pose", [
+        ("mun:2/5", 2.0, 59, None),
+        ("const:2", 2.0, 26, None),
+        ("mun:3/5", 4.0, 218, None),
+        ("monomial:1,2", 3.0, 111, None),
+        ("const:-3", 2.0, 34, None),
+        ("mun:2/5", 2.0, 59, SHEAR),
     ], ids=["mun", "const", "mun35-L4", "monomial12-L3", "hyperbola", "sheared-pose"])
-    def test_returns_the_fixed_point_of_the_sweeps(self, spec, length, pose):
+    def test_returns_the_fixed_point_of_the_sweeps(self, spec, length, sweeps, pose):
         mu = parse_spec(spec)
         curve, res = affine.picard(mu, length, tol=1e-10, pose=pose)
         A0, origin = (np.eye(2), np.zeros(2)) if pose is None else (pose.inverse().linear, pose.translation)
@@ -216,12 +223,12 @@ class TestDirectSolve:
         h = grid[1] - grid[0]
         ca = np.stack([res.frames[:, 1, :], -mu(grid)[:, None] * res.frames[:, 0, :]], axis=1)
         assert np.abs(A0 + cumulative_simpson(ca, h) - res.frames).max() <= 1e-11
-        frames, points, _ = _planned_sweeps(mu, grid, res.iterations, A0, origin)
+        frames, points, _ = _planned_sweeps(mu, grid, sweeps, A0, origin)
         assert np.abs(res.frames - frames).max() <= 1e-11
         assert np.abs(curve.points - points).max() <= 1e-11
         assert np.abs(np.linalg.det(res.frames) - 1.0).max() <= 1e-11
         assert res.frames.transpose(1, 2, 0).flags.c_contiguous
-        assert res.step_gaps == ()
+        assert (res.iterations, res.tail_bound, res.step_gaps) == (0, 0.0, ())
 
     def test_non_finite_sample_between_probe_nodes_refused_before_any_integration(self, simpson_calls):
         # the spike of the sweep-path test above, on the tol path
@@ -238,6 +245,19 @@ class TestDirectSolve:
         with pytest.raises(ValueError, match=re.escape(f"h^2 max|mu| = {s} on 17 nodes is at least 1.8541,")):
             affine.picard(parse_spec(spec), 16.0, n_grid=17, tol=1.0)
         assert simpson_calls == []
+
+    def test_past_the_sweep_caps_matches_the_conic(self):
+        # 186,701 nodes; the 5,400 sweeps whose tail bound is below 1e-10 would exceed the work cap
+        curve, res = affine.picard(const(50.0), 30.0)
+        assert res.grid_size == 186_701
+        assert grid_distance(curve, affine.conic(50.0, 30.0, len(curve))) <= 1e-11
+
+    def test_long_oscillating_domain_runs_on_the_capped_grid(self):
+        # 3,558 sweeps with tail bound below 1e-10 on this grid would exceed the work cap
+        curve, res = affine.picard(parse_spec("mun:1/2"), 100.0)
+        assert res.grid_size == 300_001
+        assert np.isfinite(curve.points).all()
+        assert np.abs(np.linalg.det(res.frames) - 1.0).max() <= 1e-10
 
     def test_grid_just_below_the_limit_matches_converged_sweeps(self):
         # h^2 max|mu| = 1.85398, under (3 sqrt 5 - 3) / 2 = 1.85410

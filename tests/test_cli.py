@@ -165,9 +165,31 @@ class TestReconstruct:
 
     def test_solver_failure_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "reconstruct", "affine",
-                               "--curvature", "const:2500", "--domain", "0:2")
+                               "--curvature", "const:2500", "--domain", "0:2", "--iterations", "20000")
         assert code == 3
         assert "solver error" in err
+
+    def test_past_the_sweep_caps_exits_0_on_the_conic(self, tmp_path, capsys):
+        # a sweep count with tail bound 1e-10 would exceed the sweep cap here; the direct solve runs none
+        out = tmp_path / "c.csv"
+        code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "const:2500",
+                                    "--domain", "0:2", "--out", str(out))
+        assert (code, err) == (0, "")
+        summary = strict_json(stdout)
+        assert (summary["iterations"], summary["tail_bound"]) == (0, 0.0)
+        assert grid_distance(read_curve_csv(out), affine.conic(2500.0, 2.0, summary["samples"])) <= 1e-9
+
+    def test_work_cap_refuses_before_any_sweep(self, capsys, monkeypatch):
+        # 2,000 sweeps over the 42,733 nodes that 32 L sqrt(c) / pi gives
+        sweeps = []
+        simpson = affine.cumulative_simpson
+        monkeypatch.setattr(affine, "cumulative_simpson", lambda *a: sweeps.append(1) or simpson(*a))
+        code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "const:1.1",
+                                    "--domain", "0:4000", "--iterations", "2000")
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("solver error:") and "work cap" in err
+        assert sweeps == []
 
     def test_bad_domain_exits_2(self, capsys):
         for domain in ("5:1", "0:inf", "-inf:0", "0:nan", "0:5e-324"):
@@ -223,10 +245,8 @@ class TestReconstruct:
         ("affine", "--curvature", "const:0", "--domain", "0:1", "--samples", "300003", "--iterations", "1"),
         ("series", "--curvature", "monomial:1,1", "--domain", "0:1", "--samples", "300003"),
         ("affine", "--curvature", "const:1", "--domain", "0:1", "--samples", "17", "--iterations", "20000"),
-        ("affine", "--curvature", "const:100", "--domain", "0:10"),
-        ("affine", "--curvature", "const:1", "--domain", "0:1", "--tol", "5e-324"),
-    ], ids=["euclid-samples", "affine-samples", "series-samples", "affine-iterations", "affine-work",
-            "affine-subnormal-tol"])
+        ("affine", "--curvature", "const:100", "--domain", "0:10", "--samples", "300001", "--iterations", "200"),
+    ], ids=["euclid-samples", "affine-samples", "series-samples", "affine-iterations", "affine-work"])
     def test_sample_cap_exits_3(self, capsys, monkeypatch, argv):
         from curverecon import euclidean
 
@@ -234,6 +254,14 @@ class TestReconstruct:
         code, _, err = run_cli(capsys, "reconstruct", *argv)
         assert code == 3
         assert err.startswith("solver error:") and "cap" in err
+
+    def test_subnormal_tol_runs_on_the_capped_grid(self, capsys):
+        # the h^4 rule's step underflows to 0, so the grid takes the cap
+        code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "const:1",
+                                    "--domain", "0:1", "--tol", "5e-324")
+        assert (code, err) == (0, "")
+        summary = strict_json(stdout)
+        assert (summary["samples"], summary["iterations"], summary["tail_bound"]) == (300001, 0, 0.0)
 
     def test_fixed_sweep_grid_is_capped_and_json_is_strict(self, capsys):
         code, stdout, _ = run_cli(capsys, "reconstruct", "affine", "--curvature", "const:1e7",
@@ -375,8 +403,8 @@ class TestNonFiniteCurvature:
 
 class TestSolverRefusals:
     @pytest.mark.parametrize("argv, err", [
-        (("reconstruct", "affine", "--curvature", "const:2500", "--domain", "0:2"),
-         "tail tolerance 1.0e-10 unreachable within 10000 iterations"),
+        (("reconstruct", "affine", "--curvature", "const:2500", "--domain", "0:2", "--iterations", "10001"),
+         "10001 sweeps exceed the cap of 10000"),
         (("reconstruct", "series", "--curvature", "monomial:1,0", "--domain", "0:30"),
          "series round-off 2^-53 x 10^11.9 exceeds the term tolerance 1.0e-14 at alpha=30.0"),
         (("reconstruct", "series", "--curvature", "monomial:1,0", "--domain", "0:500", "--tol", "1e-3"),
@@ -388,8 +416,11 @@ class TestSolverRefusals:
          "h^2 max|mu| = 8.99991 on 17 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
         (("reconstruct", "affine", "--curvature", "sinusoid:50,0,0", "--domain", "0:16", "--samples", "17", "--tol", "1"),
          "h^2 max|mu| = 49.9995 on 17 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
+        # L / h overflows in the tol grid rule, which then takes the capped grid, whose step is 3.3e302
+        (("reconstruct", "affine", "--curvature", "const:1", "--domain", "0:1e308"),
+         "h^2 max|mu| = inf on 300001 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
     ], ids=["picard-iteration-cap", "series-round-off", "series-term-cap", "table-past-its-range",
-            "picard-coarse-grid", "picard-coarse-grid-overflow"])
+            "picard-coarse-grid", "picard-coarse-grid-overflow", "picard-grid-past-double-range"])
     def test_exit_3_names_the_cause(self, tmp_path, capsys, argv, err):
         write_table_csv(np.linspace(0.0, 2.0, 41), np.ones(41), tmp_path / "tab.csv")
         table = f"table:{tmp_path / 'tab.csv'}"
@@ -479,12 +510,14 @@ class TestCompare:
         assert stdout == ""
         assert err == "solver error: curvature inf at parameter 5.8984375 past the domain start is not finite\n"
 
-    def test_work_cap_refuses_before_any_sweep(self, capsys):
-        # 1,594 sweeps over 300,001 nodes per curve
+    def test_affine_on_the_capped_grid_exits_0(self, capsys):
+        # each curve is one direct solve over 300,001 nodes; measured is the pointwise gap of the two ellipses
         code, stdout, err = run_cli(capsys, "compare", "affine", "const:1", "const:1.1", "--domain", "0:400")
-        assert code == 3
-        assert stdout == ""
-        assert err.startswith("solver error:") and "work cap" in err
+        assert (code, err) == (0, "")
+        data = strict_json(stdout)
+        gap = affine.conic(1.0, 400.0, 300001).points - affine.conic(1.1, 400.0, 300001).points
+        assert abs(data["measured"] - float(np.hypot(gap[:, 0], gap[:, 1]).max())) <= 1e-9
+        assert data["satisfied"] is True
 
     def test_violated_bound_maps_to_exit_4(self, capsys, monkeypatch):
         # the certified inequality holds mathematically, so a violation is

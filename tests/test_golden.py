@@ -47,23 +47,23 @@ DEMOS = {
     "01_euclidean_reconstruction.py": "296dac5d8f49b4cc66ae66e43798877283a6ac6644b2e8c165de58d8d9e22c93",
     "02_closedness.py": "afb3b12ac3cdcad47617fcf116df86ec3c9e8cabf7760579e996af822c962319",
     "03_distance_bounds.py": "664f2bb23d5ba7a56cd96856360ad6a9f2fac92de04fbbd5eab1809bf317cccb",
-    "04_affine_reconstruction.py": "cbef0fec62c8f81ec435a5c33977465d1d0c1e44d49b8a5a57f816ccf11a4bd0",
+    "04_affine_reconstruction.py": "7070a3a1ceb18bee9113a68b073cf81751665b718b921fe5e7f366b2d878064a",
     "05_monomial_series.py": "cd96fbca06076448f62025622d4c1fb816da025ec78785491bb333148deeecdb",
 }
 
 # every request class of perfbench/workloads.py at seed TRAFFIC_SEED: exit code, stdout, stderr and output files
 TRAFFIC_SEED = 1
 TRAFFIC = {
-    "affine-recon/mun25_L10": "5281891aaa481b628f2124a690fbe3f3473541db2715d43bc9c4b3c57bb7c6b3",
-    "affine-recon/mun25_L2": "5104dd2d622ba0d5e03bff89e35114c51b7551ee9c234a656bbe19f0ae2e533d",
-    "affine-recon/mun35_L4": "449625772ada9f15c9ea9af088ba2fbf0501b4e09ebb2fb4688b7be2f7361ce7",
+    "affine-recon/mun25_L10": "ef89eca03cda20efefc6d62b4ad71a7aaea0d52a8d50cfc5cf6e91d94a0efd95",
+    "affine-recon/mun25_L2": "037f3a2d96fc2a5878560c913d9414f43a4bf217aa74d52ae03903105036f523",
+    "affine-recon/mun35_L4": "de49ea07d04d4c98ce32695d72a791f62e6f6990ae6e0332340234aa94c1f068",
     "affine-recon/readme_L22": "cc50245173325a3771b29cc23a90d013dd1d4f434daf5a615b772553c11d8eff",
-    "affine-recon/const3": "2a6c9aadf81e65b2b163772c44fc8ae831fba9fe226f282aff093ff4ae0a493b",
-    "affine-recon/const0": "d53e9fa98929c7621305cc943cf905d6faa6627f5bafa1bec2ef19d1bdf492c4",
-    "affine-recon/const2": "a8b877ed8e4f87b128e5f1b86c55f45c021f4cae1b6bbaa4f36c36b7bf5df9a8",
-    "affine-recon/mono11": "22103401acd9609168bb51af316a719b545e0d51e98b6bf022bea853ff6eeec2",
+    "affine-recon/const3": "24c2c08a782db2cb2c2ef60f6da3fed3ba26a6230c6e7964c22e287d10752cd1",
+    "affine-recon/const0": "59eec474cd687870e5ef2d9dab35b93a910fafbb9e810e50fe9584a6de32ce02",
+    "affine-recon/const2": "3eb148459cba161197df9b0f21cf15512c3152683111a25bcc21663e00a3cb0f",
+    "affine-recon/mono11": "cc3e49116e508f6ca110e8b70ca3e151e7fff68a71c313982baa669a508040d3",
     "affine-recon/series11": "db8651d8aa9bd91b5541f5c03326b0fa04131dd6f61731b675517c26b9003d4f",
-    "affine-recon/mono12": "ec86c6565e15ccfc2542f4b22a62c130bcc0a596eeb17187249249e4a6ea8dd6",
+    "affine-recon/mono12": "7528c98e8437acc223c7500ce0587d5d678890023bdcfce3251671f8c7a14049",
     "affine-recon/series12": "0e21975c3a081e4f4da83c11442565af604d6cce263dd940de2af8b0cf6a7ebd",
     "compare/euclid_linf_kn10": "46b18fa70ea4a1c91258c299924fbdb36ccc2d76586db1ef6d15c2682ee43971",
     "compare/euclid_l1_kn10": "92c0c8128415081ba475cfe43596f931ca73e6f4b8fdd81cd77a609ec747d2a5",

@@ -151,6 +151,18 @@ class TestCurveCsv:
             read_table_csv(p)
         assert str(exc.value) == f"{p}:1202: cannot parse number 'oops'"
 
+    @pytest.mark.parametrize("grid, values, column, value", [
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], "value", "nan"),
+        ([0.0, math.inf], [1.0, 2.0], "t", "inf"),
+    ], ids=["nan-value", "inf-parameter"])
+    def test_writer_refuses_a_cell_the_readers_refuse(self, tmp_path, grid, values, column, value):
+        # refused before the file is opened, so no partial file is left
+        p = tmp_path / "w.csv"
+        with pytest.raises(CsvFormatError) as exc:
+            write_table_csv(np.array(grid), np.array(values), p)
+        assert str(exc.value) == f"{p}:3: column {column!r} reads as {value}, not a finite number"
+        assert not p.exists()
+
     def test_table_round_trip(self, tmp_path):
         g = np.linspace(0, 1, 17)
         v = np.sin(g)
@@ -181,7 +193,9 @@ class TestChunkedWriters:
 
     def test_table_csv(self, tmp_path):
         rng = np.random.default_rng(25)
-        grid, values = random_doubles(rng, self.n), random_doubles(rng, self.n)
+        finite = random_doubles(rng, 3 * self.n)
+        finite = finite[np.isfinite(finite)]
+        grid, values = finite[:self.n].copy(), finite[self.n:2 * self.n].copy()
         grid[:len(EDGES)] = values[-len(EDGES):] = EDGES
         grid[_CHUNK_ROWS - 1:_CHUNK_ROWS + 1] = [-0.0, 5e-324]
         write_table_csv(grid, values, tmp_path / "t.csv")
