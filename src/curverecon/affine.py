@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import BoundReport, EquiAffineMap, SampledCurve, grid_distance, sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
-from .quadrature import GRID_CAP, cumulative_simpson, finite_values, odd_sample_count, probe
+from .quadrature import GRID_CAP, cumulative_simpson, finite_values, odd_sample_count, probe, require_positive
 
 __all__ = [
     "PicardResult",
@@ -138,16 +138,19 @@ def _plan(c: float, length: float, n_grid=None, iterations=None, tol=None) -> in
 _STEP_CURVATURE_LIMIT = (3.0 * math.sqrt(5.0) - 3.0) / 2.0
 
 
-def _fixed_point_frames(mu_vals: np.ndarray, h: float, A0: np.ndarray) -> np.ndarray:
+def _fixed_point_frames(mu_vals: np.ndarray, h: float, A0: np.ndarray, mu_max: float) -> np.ndarray:
     """The frames that Picard's Simpson sweeps converge to, in one pass, entry-major.
 
     The fixed point solves, on each node pair (2j, 2j+1, 2j+2), the 3-stage
     Lobatto IIIA collocation equations with step 2h (Hairer & Wanner, *Solving
     ODEs II*, IV.5), which are linear: A_{2j+2} = T_j A_{2j} and A_{2j+1} = S_j A_{2j}
-    in closed form, with D = h^4 mu1 mu2 + 3 h^2 mu1 + 9.  Below
-    _STEP_CURVATURE_LIMIT every D >= 9 - 3s - s^2 > 0 (s = h^2 max|mu|).  The even
-    frames are the prefix products T_j ... T_0 A0, by doubling (Blelloch 1990).
+    in closed form, with D = h^4 mu1 mu2 + 3 h^2 mu1 + 9.  Below _STEP_CURVATURE_LIMIT every
+    D >= 9 - 3s - s^2 > 0 (s = h^2 mu_max, mu_max = max|mu_vals|), and a grid at or above it is
+    refused.  The even frames are the prefix products T_j ... T_0 A0, by doubling (Blelloch 1990).
     """
+    if (s := h * h * mu_max) >= _STEP_CURVATURE_LIMIT:
+        raise ValueError(f"h^2 max|mu| = {s:.6g} on {mu_vals.size} nodes is at least {_STEP_CURVATURE_LIMIT:.6g}, "
+                         "where Picard sweeps diverge; use more samples")
     p0, p1, p2 = (h * h) * mu_vals[0:-2:2], (h * h) * mu_vals[1:-1:2], (h * h) * mu_vals[2::2]
     d = p1 * p2 + 3.0 * p1 + 9.0
     # pair maps T as a (2, 2, m) array; T_0 carries A0, so the products are the frames themselves
@@ -192,16 +195,22 @@ def picard(
     Otherwise returns the sweeps' fixed point, solved in one pass by
     :func:`_fixed_point_frames` on a grid sized by ``tol`` (default 1e-10); a grid
     with h^2 max|mu| >= _STEP_CURVATURE_LIMIT, on which the sweeps would diverge,
-    is refused.  ``iterations`` and ``tol`` exclude each other.  :func:`_plan` sets
+    is refused.  ``tol`` excludes ``iterations`` and ``n_grid``, and must be positive and
+    finite, as the length must; ``iterations`` must not be negative.  :func:`_plan` sets
     the grid and refuses over-cap runs before any work.  Without ``pose`` the curve
     has canonical initial data (origin, identity frame); with it, the initial frame
     is the inverse of ``pose``'s linear part and the curve starts at its
     translation, which is ``pose`` applied to the canonical curve.
     """
-    if length <= 0:
-        raise ValueError("length must be positive")
+    require_positive(length, "length must be positive")
     if iterations is not None and tol is not None:
         raise ValueError("iterations and tol exclude each other")
+    if tol is not None:
+        if n_grid is not None:
+            raise ValueError("n_grid and tol exclude each other")
+        require_positive(tol, "tol must be a positive finite number")
+    if iterations is not None and iterations < 0:
+        raise ValueError(f"iterations must be at least 0, got {iterations}")
     A0, origin = (np.eye(2), np.zeros(2)) if pose is None else (pose.inverse().linear, pose.translation)
 
     c = max(1.0, sup_norm(probe(mu, length)))
@@ -227,13 +236,7 @@ def picard(
             frames = new
         tail_bound = _exp_or_inf(_log_tail(c, length, iterations, sup_norm(A0)))
     else:
-        s = h * h * mu_max
-        if s >= _STEP_CURVATURE_LIMIT:
-            raise ValueError(
-                f"h^2 max|mu| = {s:.6g} on {n_grid} nodes is at least {_STEP_CURVATURE_LIMIT:.6g}, "
-                "where Picard sweeps diverge; use more samples"
-            )
-        frames = _fixed_point_frames(mu_vals, h, A0)
+        frames = _fixed_point_frames(mu_vals, h, A0, mu_max)
         tail_bound = 0.0
 
     pts = origin + cumulative_simpson(frames[:, 0, :], h)
@@ -250,10 +253,11 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
     sqrt(2) * (delta L / c_hat) * (e^(c_hat L) - 1), with delta = sup |mu1 - mu2|
     and c_hat = max(1, sup |mu1|, sup |mu2|) on the 4097-node probe.  The shared
     grid is sized as :func:`picard` sizes a direct run, from c_hat and a tol of
-    0.01 bound clamped to [1e-13, 1e-10].
+    0.01 bound clamped to [1e-13, 1e-10], and each curvature is sampled on it once.
     ``solver_floor`` is a stated round-off floor of 1e-12: a direct solve has no
     truncation, and its discretization error is not yet bounded.
     """
+    require_positive(length, "length must be positive")
     v1, v2 = probe(mu1, length), probe(mu2, length)
     delta, c_hat = sup_norm(v1 - v2), max(1.0, sup_norm(v1), sup_norm(v2))
     if delta == 0.0:
@@ -263,9 +267,12 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
         bound = math.sqrt(2.0) * delta * length / c_hat * grow
 
     tol = max(1e-13, min(1e-10, 0.01 * bound)) if bound > 0 else 1e-13
-    n_grid = _plan(c_hat, length, tol=tol)
-    c1, _ = picard(mu1, length, n_grid=n_grid)
-    c2, _ = picard(mu2, length, n_grid=n_grid)
+    grid = np.linspace(0.0, length, _plan(c_hat, length, tol=tol))
+    h, curves = grid[1] - grid[0], []
+    for mu in (mu1, mu2):  # the direct solve of picard(mu, length, n_grid=grid.size)
+        mu_vals = finite_values(mu, grid)
+        frames = _fixed_point_frames(mu_vals, h, np.eye(2), float(np.abs(mu_vals).max()))
+        curves.append(SampledCurve(grid, cumulative_simpson(frames[:, 0, :], h)))
     return BoundReport(
         mode="affine",
         norm="linf",
@@ -273,6 +280,6 @@ def bound_check(mu1, mu2, length: float) -> BoundReport:
         length=length,
         c_hat=c_hat,
         bound=bound,
-        measured=grid_distance(c1, c2),
+        measured=grid_distance(*curves),
         solver_floor=1e-12,
     )

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--iterations", type=int, default=None, metavar="N",
                      help="fixed sweep count (affine mode; excludes --tol)")
     rec.add_argument("--tol", type=float, default=None, metavar="EPS",
-                     help="certified tail tolerance (affine) or term tolerance (series)")
+                     help="grid tolerance (affine) or term tolerance (series)")
     rec.add_argument("--out", default=None, metavar="PATH", help="curve CSV output")
     rec.add_argument("--svg", default=None, metavar="PATH", help="plot output")
 
@@ -102,6 +102,8 @@ def _cmd_reconstruct(args) -> int:
             raise _UsageError(f"--{flag} is not read in {args.mode} mode")
     if args.iterations is not None and args.tol is not None:
         raise _UsageError("--iterations and --tol exclude each other")
+    if args.mode == "affine" and args.samples is not None and args.tol is not None:
+        raise _UsageError("--samples and --tol exclude each other in affine mode")
     spec = parse_spec_cli(args.curvature)
     a, b = _parse_domain(args.domain)
     length = b - a

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import BoundReport, RigidMotion, SampledCurve, derivatives, grid_distance, sup_norm
 from .geometry import hausdorff_distance  # noqa: F401  perfbench/tracer.py wraps this attribute
-from .quadrature import cumulative_simpson, finite_values, odd_sample_count, probe
+from .quadrature import cumulative_simpson, finite_values, odd_sample_count, probe, require_positive
 
 __all__ = [
     "ClosureReport",
@@ -48,21 +48,24 @@ def reconstruct(kappa, length: float, n: int | None = None, pose: RigidMotion | 
     canonical registration used by the distance bounds; with it, the curve
     starts at ``pose``'s translation heading at its angle, which is ``pose``
     applied to the canonical curve.  More than :data:`SAMPLE_CAP` samples are
-    refused.
+    refused, as is a length that is not positive and finite.
     """
-    if length <= 0:
-        raise ValueError("length must be positive")
+    require_positive(length, "length must be positive")
     if n is None:
         n = default_sample_count(length, sup_norm(probe(kappa, length)))
     n = odd_sample_count(max(int(n), 16))
     if n > SAMPLE_CAP:
         raise ValueError(f"{n} samples exceed the cap of {SAMPLE_CAP}")
-    theta0, origin = (0.0, np.zeros(2)) if pose is None else (pose.angle, pose.translation)
     s = np.linspace(0.0, length, n)
-    theta = theta0 + cumulative_simpson(finite_values(kappa, s), s[1] - s[0])
+    return _integrate(s, finite_values(kappa, s), pose)
+
+
+def _integrate(s: np.ndarray, kappa_vals: np.ndarray, pose: RigidMotion | None = None) -> SampledCurve:
+    """The curve from ``pose`` with curvature ``kappa_vals`` on the uniform grid ``s``: its angle, then its points."""
+    theta0, origin = (0.0, np.zeros(2)) if pose is None else (pose.angle, pose.translation)
+    theta = theta0 + cumulative_simpson(kappa_vals, s[1] - s[0])
     direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = origin + cumulative_simpson(direction, s[1] - s[0])
-    return SampledCurve(s, pts)
+    return SampledCurve(s, origin + cumulative_simpson(direction, s[1] - s[0]))
 
 
 def curvature(curve: SampledCurve):
@@ -135,8 +138,7 @@ def classify_closure(kappa, period: float) -> ClosureReport:
     (the probe refuses a non-finite sample); a ratio that is not a ``Fraction`` is refused when
     not finite and otherwise rationalized with denominator <= 10^6 and tolerance 1e-8.
     """
-    if period <= 0:
-        raise ValueError("a positive period is required")
+    require_positive(period, "a positive period is required")
     ratio = kappa.turning_ratio(period)
     if ratio is None:
         values = probe(kappa, period)
@@ -168,8 +170,8 @@ def bound_check(kappa1, kappa2, length: float, norm: str = "linf") -> BoundRepor
     """Certify the reconstruction-distance bound for two curvature functions.
 
     Both curves are rebuilt from the canonical pose (which realizes the
-    registering rigid motion) on one grid, the curvature gap delta is
-    measured on that grid, and the pointwise distance max_s |c1(s) - c2(s)|
+    registering rigid motion) on one grid, from the same curvature samples that
+    measure the gap delta, and the pointwise distance max_s |c1(s) - c2(s)|
     on it is compared against the certified bound: delta * L^2 / 2 for the
     sup norm, or delta * L for the L1 norm.  Proof: |e^(ia) - e^(ib)| <= |a - b|
     gives |c1(s) - c2(s)| <= integral_0^s |theta1 - theta2|, and |theta1 - theta2|
@@ -177,12 +179,11 @@ def bound_check(kappa1, kappa2, length: float, norm: str = "linf") -> BoundRepor
     """
     if norm not in ("linf", "l1"):
         raise ValueError("norm must be 'linf' or 'l1'")
+    require_positive(length, "length must be positive")
     sup = max(sup_norm(probe(kappa1, length)), sup_norm(probe(kappa2, length)))
-    n = default_sample_count(length, sup)
-    c1 = reconstruct(kappa1, length, n)
-    c2 = reconstruct(kappa2, length, n)
-    s = c1.params
-    diff = np.abs(np.asarray(kappa1(s), dtype=float) - np.asarray(kappa2(s), dtype=float))
+    s = np.linspace(0.0, length, default_sample_count(length, sup))
+    k1, k2 = finite_values(kappa1, s), finite_values(kappa2, s)
+    diff = np.abs(k1 - k2)
     if norm == "linf":
         delta = float(diff.max())
         bound = delta * length**2 / 2.0
@@ -196,6 +197,6 @@ def bound_check(kappa1, kappa2, length: float, norm: str = "linf") -> BoundRepor
         length=length,
         c_hat=None,
         bound=bound,
-        measured=grid_distance(c1, c2),
+        measured=grid_distance(_integrate(s, k1), _integrate(s, k2)),
         solver_floor=1e-9,
     )

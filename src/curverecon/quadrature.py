@@ -6,6 +6,8 @@ endpoint.  Composite Simpson gives the values at even nodes; odd nodes get
 the integral of the local quadratic over the leading half of the pair.
 """
 
+import math
+
 import numpy as np
 
 GRID_CAP = 300_001  # the most nodes an affine (Picard or series) grid may have
@@ -16,6 +18,12 @@ def odd_sample_count(n: int) -> int:
     if n < 3:
         raise ValueError("need at least 3 samples")
     return n if n % 2 == 1 else n + 1
+
+
+def require_positive(value: float, message: str) -> None:
+    """Refuse (``ValueError`` with ``message``) a length, period or tolerance that is not positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(message)
 
 
 def finite_values(f, nodes: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .curvatures import MonomialCurvature
 from .geometry import SampledCurve
-from .quadrature import GRID_CAP
+from .quadrature import GRID_CAP, require_positive
 
 __all__ = [
     "curve",
@@ -31,8 +31,9 @@ def truncation_count(mu: MonomialCurvature, alpha_max: float, tol: float = 1e-14
 
     With K = k + 2, the i-th block term is bounded by
     |c|^i * a^(K i + 1) / (i! K^(2 i)); the count is the first index past the
-    bound's peak where it drops below ``tol``.
+    bound's peak where it drops below ``tol``, which must be positive and finite.
     """
+    require_positive(tol, "tol must be a positive finite number")
     a = abs(float(alpha_max))
     c = float(mu.c)
     if c == 0.0 or a == 0.0:
@@ -95,6 +96,7 @@ def tangent(mu: MonomialCurvature, alpha, tol: float = 1e-14):
 
 def curve(mu: MonomialCurvature, length: float, n: int, tol: float = 1e-14) -> SampledCurve:
     """Curve from termwise integration of the tangent series, origin (0,0), n <= GRID_CAP."""
+    require_positive(length, "length must be positive")
     if n > GRID_CAP:
         raise ValueError(f"{n} samples exceed the cap of {GRID_CAP}")
     u, v = tangent_coefficients(mu, length, tol)

@@ -1,3 +1,21 @@
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def counting():
+    """Wraps a curvature so that each call records the size of the node set it samples, in ``.sizes``."""
+    def wrap(spec):
+        def sampled(t):
+            sampled.sizes.append(np.size(t))
+            return spec(t)
+
+        sampled.sizes = []
+        return sampled
+
+    return wrap
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion at the end of the run."""
     lines = {}

@@ -90,13 +90,13 @@ class TestPicard:
 
     def test_equivariance(self):
         mu = const(2.0)
-        base_curve, _ = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10)
+        base_curve, _ = affine.picard(mu, 2.0, n_grid=2049)
         for _ in range(5):
             a = RNG.uniform(0.5, 2.0)
             b, c = RNG.uniform(-1.0, 1.0, 2)
             m = np.array([[a, b], [c, (1.0 + b * c) / a]])
             g = EquiAffineMap(m, RNG.uniform(-2, 2, 2))
-            moved, _ = affine.picard(mu, 2.0, n_grid=2049, tol=1e-10, pose=g)
+            moved, _ = affine.picard(mu, 2.0, n_grid=2049, pose=g)
             # a direct solve has no truncation, so only round-off separates the two curves
             assert np.abs(base_curve.transformed(g).points - moved.points).max() <= 1e-12
 
@@ -231,19 +231,19 @@ class TestDirectSolve:
         assert (res.iterations, res.tail_bound, res.step_gaps) == (0, 0.0, ())
 
     def test_non_finite_sample_between_probe_nodes_refused_before_any_integration(self, simpson_calls):
-        # the spike of the sweep-path test above, on the tol path
+        # the spike of the sweep-path test above, on the direct path
         def mu(t):
             return np.where(np.abs(t - 0.50015) < 1e-6, np.nan, 1.0)
 
         with pytest.raises(ValueError, match=r"^curvature nan at parameter 0\.50015 past the domain start is not finite$"):
-            affine.picard(mu, 1.0, n_grid=20001, tol=1e-10)
+            affine.picard(mu, 1.0, n_grid=20001)
         assert simpson_calls == []
 
     @pytest.mark.parametrize("spec, s", [("sinusoid:9,0,0", "8.99991"), ("sinusoid:50,0,0", "49.9995")])
     def test_grid_where_the_sweeps_diverge_is_refused(self, simpson_calls, spec, s):
         # h = 1 on [0, 16]; the node t = 11 has |sin t| = 0.99999
         with pytest.raises(ValueError, match=re.escape(f"h^2 max|mu| = {s} on 17 nodes is at least 1.8541,")):
-            affine.picard(parse_spec(spec), 16.0, n_grid=17, tol=1.0)
+            affine.picard(parse_spec(spec), 16.0, n_grid=17)
         assert simpson_calls == []
 
     def test_past_the_sweep_caps_matches_the_conic(self):
@@ -262,7 +262,7 @@ class TestDirectSolve:
     def test_grid_just_below_the_limit_matches_converged_sweeps(self):
         # h^2 max|mu| = 1.85398, under (3 sqrt 5 - 3) / 2 = 1.85410
         mu = parse_spec("sinusoid:1.854,0,0")
-        curve, _ = affine.picard(mu, 16.0, n_grid=17, tol=1.0)
+        curve, _ = affine.picard(mu, 16.0, n_grid=17)
         swept, _ = affine.picard(mu, 16.0, n_grid=17, iterations=1000)
         assert np.abs(curve.points - swept.points).max() <= 1e-9 * np.abs(swept.points).max()
 
@@ -309,6 +309,41 @@ class TestBoundCheck:
             rep = affine.bound_check(*pair, length)
             c1, c2 = rebuilt.pop()
             assert abs(rep.measured - hausdorff_distance(c1, c2)) <= 1e-12
+
+    @pytest.mark.parametrize("specs, length", [
+        (("const:2", "const:2.05"), 2.0),
+        (("mun:3/5", "mun:2/5"), 4.0),
+        (("const:-3", "monomial:1,2"), 1.5),
+    ])
+    def test_curves_equal_the_direct_solves_of_picard(self, monkeypatch, specs, length):
+        # the report solves on its own samples, so its curves must stay those of the public entry
+        rebuilt = []
+
+        def recording(c1, c2):
+            rebuilt.append((c1, c2))
+            return grid_distance(c1, c2)
+
+        monkeypatch.setattr(affine, "grid_distance", recording)
+        mus = [parse_spec(s) for s in specs]
+        affine.bound_check(*mus, length)
+        for mu, got in zip(mus, rebuilt.pop()):
+            want, _ = affine.picard(mu, length, n_grid=len(got))
+            assert got.params.tobytes() == want.params.tobytes()
+            assert got.points.tobytes() == want.points.tobytes()
+
+    def test_samples_each_curvature_on_the_probe_and_the_grid(self, monkeypatch, counting):
+        plans = []
+        plan = affine._plan
+
+        def recording(*args, **kwargs):
+            plans.append(plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(affine, "_plan", recording)
+        mu1, mu2 = counting(parse_spec("mun:3/5")), counting(parse_spec("const:2"))
+        affine.bound_check(mu1, mu2, 4.0)
+        assert len(plans) == 1
+        assert mu1.sizes == mu2.sizes == [4097, plans[0]]
 
     def test_measured_is_pointwise_conic_gap(self):
         # the two ellipses drift out of phase: their Hausdorff distance is

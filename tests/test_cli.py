@@ -144,6 +144,17 @@ class TestReconstruct:
         assert stdout == ""
         assert err == "error: --iterations and --tol exclude each other\n"
 
+    def test_samples_with_tol_exits_2_in_affine_mode(self, capsys):
+        # --samples fixes the grid that --tol would size, so one of the two would be dropped without a word
+        code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "mun:2/5", "--domain", "0:2",
+                                    "--samples", "1025", "--tol", "1e-10")
+        assert (code, stdout, err) == (2, "", "error: --samples and --tol exclude each other in affine mode\n")
+        # series mode reads both: the sample count and the term tolerance
+        code, stdout, err = run_cli(capsys, "reconstruct", "series", "--curvature", "monomial:1,1", "--domain", "0:1",
+                                    "--samples", "1025", "--tol", "1e-12")
+        assert (code, err) == (0, "")
+        assert strict_json(stdout)["samples"] == 1025
+
     def test_svg_output_is_deterministic(self, tmp_path, capsys):
         args = ("reconstruct", "euclid", "--curvature", "kn:10", "--domain", "0:6.283185307")
         run_cli(capsys, *args, "--svg", str(tmp_path / "a.svg"))
@@ -412,15 +423,19 @@ class TestSolverRefusals:
         (("reconstruct", "euclid", "--curvature", "<table>", "--domain", "0:3"),
          "value outside table range [0.0, 2.0] and table is not periodic"),
         # h = 1 with |mu| up to 9 (50): the sweeps diverge on this grid
-        (("reconstruct", "affine", "--curvature", "sinusoid:9,0,0", "--domain", "0:16", "--samples", "17", "--tol", "1"),
+        (("reconstruct", "affine", "--curvature", "sinusoid:9,0,0", "--domain", "0:16", "--samples", "17"),
          "h^2 max|mu| = 8.99991 on 17 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
-        (("reconstruct", "affine", "--curvature", "sinusoid:50,0,0", "--domain", "0:16", "--samples", "17", "--tol", "1"),
+        (("reconstruct", "affine", "--curvature", "sinusoid:50,0,0", "--domain", "0:16", "--samples", "17"),
          "h^2 max|mu| = 49.9995 on 17 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
         # L / h overflows in the tol grid rule, which then takes the capped grid, whose step is 3.3e302
         (("reconstruct", "affine", "--curvature", "const:1", "--domain", "0:1e308"),
          "h^2 max|mu| = inf on 300001 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
+        # the shared grid of a compare report takes the cap, where h^2 2e9 = 111.111
+        (("compare", "affine", "const:1e9", "const:2e9", "--domain", "0:100"),
+         "h^2 max|mu| = 111.111 on 300001 nodes is at least 1.8541, where Picard sweeps diverge; use more samples"),
     ], ids=["picard-iteration-cap", "series-round-off", "series-term-cap", "table-past-its-range",
-            "picard-coarse-grid", "picard-coarse-grid-overflow", "picard-grid-past-double-range"])
+            "picard-coarse-grid", "picard-coarse-grid-overflow", "picard-grid-past-double-range",
+            "compare-affine-coarse-grid"])
     def test_exit_3_names_the_cause(self, tmp_path, capsys, argv, err):
         write_table_csv(np.linspace(0.0, 2.0, 41), np.ones(41), tmp_path / "tab.csv")
         table = f"table:{tmp_path / 'tab.csv'}"
@@ -430,7 +445,7 @@ class TestSolverRefusals:
     def test_coarse_grid_below_the_limit_exits_0(self, capsys):
         # h^2 max|mu| = 1.85398, under the limit 1.85410
         code, stdout, err = run_cli(capsys, "reconstruct", "affine", "--curvature", "sinusoid:1.854,0,0",
-                                    "--domain", "0:16", "--samples", "17", "--tol", "1")
+                                    "--domain", "0:16", "--samples", "17")
         assert (code, err) == (0, "")
         assert math.isfinite(strict_json(stdout)["endpoint_gap"])
 

@@ -242,6 +242,31 @@ class TestBoundCheck:
             assert abs(rep.measured - hausdorff_distance(c1, c2)) <= 1e-12
 
 
+    @pytest.mark.parametrize("specs", [("sinusoid:1,0,0", "kn:40"), ("const:2", "sinusoid:1,1,1/3")])
+    def test_curves_equal_reconstruct(self, monkeypatch, specs):
+        # the report integrates its own samples, so its curves must stay those of the public entry
+        rebuilt = []
+
+        def recording(c1, c2):
+            rebuilt.append((c1, c2))
+            return grid_distance(c1, c2)
+
+        monkeypatch.setattr(euclidean, "grid_distance", recording)
+        kappas = [parse_spec(s) for s in specs]
+        euclidean.bound_check(*kappas, 2 * PI)
+        for kappa, got in zip(kappas, rebuilt.pop()):
+            want = euclidean.reconstruct(kappa, 2 * PI, len(got))
+            assert got.params.tobytes() == want.params.tobytes()
+            assert got.points.tobytes() == want.points.tobytes()
+
+    @pytest.mark.parametrize("norm", ["linf", "l1"])
+    def test_samples_each_curvature_on_the_probe_and_the_grid(self, counting, norm):
+        k1, k2 = counting(parse_spec("sinusoid:1,0,0")), counting(parse_spec("kn:40"))
+        euclidean.bound_check(k1, k2, 2 * PI, norm=norm)
+        # the probe, then the default grid's floor of 1025 nodes
+        assert k1.sizes == k2.sizes == [4097, 1025]
+
+
 class TestSampleCap:
     def test_cap_admits_a_million_samples(self):
         assert euclidean.SAMPLE_CAP >= 1_000_001

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from curverecon import affine, euclidean
+from curverecon import affine, euclidean, series
 from curverecon.curvatures import TableCurvature, parse_spec
 from curverecon.quadrature import cumulative_simpson
 
 ONE = parse_spec("const:1")
+NEAR = parse_spec("const:1.1")
+MONO = parse_spec("monomial:1,1")
+TOL = "tol must be a positive finite number"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -22,12 +25,41 @@ ONE = parse_spec("const:1")
     (lambda: TableCurvature([0.0], [1.0]), "table needs matching grid/value columns with >= 2 rows"),
     (lambda: TableCurvature([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]), "table grid must be strictly increasing"),
     (lambda: TableCurvature([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]), "table grid must be strictly increasing"),
+    (lambda: affine.bound_check(ONE, NEAR, 0.0), "length must be positive"),
+    (lambda: affine.bound_check(ONE, NEAR, -1.0), "length must be positive"),
+    (lambda: affine.bound_check(ONE, NEAR, np.nan), "length must be positive"),
+    (lambda: affine.bound_check(ONE, NEAR, np.inf), "length must be positive"),
+    (lambda: euclidean.bound_check(ONE, NEAR, np.nan), "length must be positive"),
+    (lambda: euclidean.reconstruct(ONE, np.inf), "length must be positive"),
+    (lambda: affine.picard(ONE, np.nan), "length must be positive"),
+    (lambda: series.curve(MONO, 0.0, 101), "length must be positive"),
+    (lambda: euclidean.classify_closure(MONO, np.nan), "a positive period is required"),
+    (lambda: affine.picard(ONE, 1.0, tol=-1.0), TOL),
+    (lambda: affine.picard(ONE, 1.0, tol=np.nan), TOL),
+    (lambda: affine.picard(ONE, 1.0, tol=0.0), TOL),
+    (lambda: affine.picard(ONE, 1.0, tol=np.inf), TOL),
+    (lambda: series.curve(MONO, 1.0, 101, tol=0.0), TOL),
+    (lambda: series.truncation_count(MONO, 1.0, np.nan), TOL),
+    (lambda: affine.picard(ONE, 1.0, iterations=-3), "iterations must be at least 0, got -3"),
+    (lambda: affine.picard(ONE, 1.0, iterations=-1), "iterations must be at least 0, got -1"),
+    (lambda: affine.picard(ONE, 1.0, n_grid=1025, tol=1e-10), "n_grid and tol exclude each other"),
 ], ids=[
     "reconstruct-length-0", "picard-length-negative", "classify-period-0", "classify-period-negative",
     "bound-check-norm", "simpson-dx-0", "simpson-dx-negative", "table-mismatched-columns", "table-one-row",
     "table-repeated-node", "table-decreasing-grid",
+    "affine-bound-check-length-0", "affine-bound-check-length-negative", "affine-bound-check-length-nan",
+    "affine-bound-check-length-inf", "euclid-bound-check-length-nan", "reconstruct-length-inf",
+    "picard-length-nan", "series-length-0", "classify-period-nan", "picard-tol-negative", "picard-tol-nan",
+    "picard-tol-0", "picard-tol-inf", "series-tol-0", "series-truncation-tol-nan", "picard-iterations-minus-3",
+    "picard-iterations-minus-1", "picard-n-grid-with-tol",
 ])
 def test_argument_refused(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_subnormal_tol_runs_on_the_capped_grid():
+    # the smallest positive tol is still a tolerance: the h^4 rule's step underflows, so the grid takes the cap
+    _, res = affine.picard(ONE, 1.0, tol=5e-324)
+    assert res.grid_size == 300_001
