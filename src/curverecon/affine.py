@@ -112,10 +112,12 @@ def _plan(c: float, length: float, n_grid=None, iterations=None, tol=None) -> in
     ``n_grid``, else 32 L sqrt(c) / pi nodes for a sweeps-only run (``iterations``
     given), else enough that h^4 c L <= 0.01 tol (tol 1e-10 by default) and at least
     4 L sqrt(c) / pi; a derived grid is clamped to [1025, GRID_CAP], and every grid is
-    made odd and at least 17.  Refused (``ValueError``): ``n_grid`` > GRID_CAP and,
+    made odd.  Refused (``ValueError``): ``n_grid`` < 16 or > GRID_CAP and,
     for a sweeps-only run, ``iterations`` > ITERATION_CAP or more than WORK_CAP
     node-sweeps.
     """
+    if n_grid is not None and n_grid < 16:
+        raise ValueError(f"n_grid must be at least 16, got {n_grid}")
     if n_grid is not None and n_grid > GRID_CAP:
         raise ValueError(f"{n_grid} grid nodes exceed the cap of {GRID_CAP}")
     if iterations is not None and iterations > ITERATION_CAP:
@@ -128,7 +130,7 @@ def _plan(c: float, length: float, n_grid=None, iterations=None, tol=None) -> in
             steps = math.ceil(min(length / h, GRID_CAP)) if h > 0.0 else GRID_CAP
             n_grid = max(steps + 1, math.ceil(min(4.0 * length * math.sqrt(c) / math.pi, GRID_CAP)))
         n_grid = min(GRID_CAP, max(1025, n_grid))
-    n_grid = odd_sample_count(max(int(n_grid), 17))
+    n_grid = odd_sample_count(int(n_grid))
     if iterations is not None and iterations * n_grid > WORK_CAP:
         raise ValueError(f"{iterations} sweeps x {n_grid} nodes exceed the work cap of {WORK_CAP}")
     return n_grid
@@ -239,7 +241,8 @@ def picard(
         frames = _fixed_point_frames(mu_vals, h, A0, mu_max)
         tail_bound = 0.0
 
-    pts = origin + cumulative_simpson(frames[:, 0, :], h)
+    pts = cumulative_simpson(frames[:, 0, :], h)
+    pts += origin
     result = PicardResult(frames=frames, c=c, tail_bound=tail_bound, step_gaps=tuple(gaps))
     return SampledCurve(grid, pts), result
 

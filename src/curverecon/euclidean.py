@@ -47,13 +47,15 @@ def reconstruct(kappa, length: float, n: int | None = None, pose: RigidMotion | 
     Without ``pose`` the curve starts at the origin heading along +x, the
     canonical registration used by the distance bounds; with it, the curve
     starts at ``pose``'s translation heading at its angle, which is ``pose``
-    applied to the canonical curve.  More than :data:`SAMPLE_CAP` samples are
-    refused, as is a length that is not positive and finite.
+    applied to the canonical curve.  An ``n`` below 16 and more than
+    :data:`SAMPLE_CAP` samples are refused, as is a length that is not positive and finite.
     """
     require_positive(length, "length must be positive")
     if n is None:
         n = default_sample_count(length, sup_norm(probe(kappa, length)))
-    n = odd_sample_count(max(int(n), 16))
+    elif n < 16:
+        raise ValueError(f"n must be at least 16, got {n}")
+    n = odd_sample_count(int(n))
     if n > SAMPLE_CAP:
         raise ValueError(f"{n} samples exceed the cap of {SAMPLE_CAP}")
     s = np.linspace(0.0, length, n)
@@ -63,9 +65,15 @@ def reconstruct(kappa, length: float, n: int | None = None, pose: RigidMotion | 
 def _integrate(s: np.ndarray, kappa_vals: np.ndarray, pose: RigidMotion | None = None) -> SampledCurve:
     """The curve from ``pose`` with curvature ``kappa_vals`` on the uniform grid ``s``: its angle, then its points."""
     theta0, origin = (0.0, np.zeros(2)) if pose is None else (pose.angle, pose.translation)
-    theta = theta0 + cumulative_simpson(kappa_vals, s[1] - s[0])
-    direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return SampledCurve(s, origin + cumulative_simpson(direction, s[1] - s[0]))
+    theta = cumulative_simpson(kappa_vals, s[1] - s[0])
+    theta += theta0
+    direction = np.empty((2, s.size))  # entry-major rows (cos, sin): each integrates as n contiguous values
+    np.cos(theta, out=direction[0])
+    np.sin(theta, out=direction[1])
+    del theta
+    points = cumulative_simpson(direction.T, s[1] - s[0])
+    points += origin
+    return SampledCurve(s, points)
 
 
 def curvature(curve: SampledCurve):

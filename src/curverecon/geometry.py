@@ -99,7 +99,7 @@ class SampledCurve:
             raise ValueError("a curve needs at least 2 samples")
         if not (np.isfinite(t).all() and np.isfinite(p).all()):
             raise ValueError("curve data must be finite")
-        if np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("params must be strictly increasing")
         object.__setattr__(self, "params", t)
         object.__setattr__(self, "points", p)

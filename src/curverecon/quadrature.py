@@ -49,8 +49,9 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
     ``y`` may be scalar- or array-valued per node (shape ``(n, ...)``).
     Requires an odd node count; exact for cubics at even nodes, for
-    quadratics at odd nodes, O(h^4) accurate overall.  The output keeps ``y``'s memory layout
-    (``empty_like`` and the ufuncs follow it); :func:`~curverecon.affine.picard` relies on that.
+    quadratics at odd nodes, O(h^4) accurate overall, with one half-size scratch array.  The output
+    keeps ``y``'s memory layout (``empty_like`` and the ufuncs follow it); :func:`~curverecon.affine.picard`
+    and :func:`~curverecon.euclidean._integrate` rely on that.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -62,10 +63,16 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     out = np.empty_like(y)
     out[0] = 0.0
     y0, y1, y2 = y[0:-2:2], y[1:-1:2], y[2::2]
-    even = np.cumsum((y0 + 4.0 * y1 + y2) * (dx / 3.0), axis=0)
-    out[2::2] = even
-    # integral over the first half of each pair: quadratic through the 3 nodes
-    half = (5.0 * y0 + 8.0 * y1 - y2) * (dx / 12.0)
-    out[1] = half[0]
-    out[3::2] = even[:-1] + half[1:]
+    pair = 4.0 * y1
+    pair += y0
+    pair += y2
+    pair *= dx / 3.0
+    np.cumsum(pair, axis=0, out=out[2::2])
+    # first half of each pair: the quadratic through its 3 nodes; the odd slots hold 8 y1 until the last line
+    np.multiply(5.0, y0, out=pair)
+    pair += np.multiply(8.0, y1, out=out[1::2])
+    pair -= y2
+    pair *= dx / 12.0
+    out[1] = pair[0]
+    np.add(out[2:-1:2], pair[1:], out=out[3::2])
     return out

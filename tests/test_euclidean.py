@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -282,6 +283,20 @@ class TestSampleCap:
         assert len(euclidean.reconstruct(one, 1.0, 1025)) == 1025
         with pytest.raises(ValueError, match="cap"):
             euclidean.reconstruct(one, 1.0, 1027)
+
+
+def test_reconstruction_peak_memory_is_at_most_seven_and_a_half_doubles_per_node():
+    # s, kappa, two entry-major direction rows, two point columns and one Simpson scratch array (7.0);
+    # a full-size temporary in either Simpson pass or in the direction array pushes it to 8 or more
+    n = 200_001
+    kappa = parse_spec("sinusoid:1,1,1/3")
+    tracemalloc.start()
+    try:
+        euclidean.reconstruct(kappa, 6 * PI, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 8 * n
 
 
 @settings(max_examples=200, deadline=None)

@@ -44,6 +44,39 @@ def test_entry_major_input_gives_the_same_bytes_in_its_own_layout():
     assert reference.flags.c_contiguous
 
 
+def _reference(y, dx):
+    """The body before the one-scratch-array rewrite: three full expressions, the same operations in the same order."""
+    out = np.empty_like(y)
+    out[0] = 0.0
+    y0, y1, y2 = y[0:-2:2], y[1:-1:2], y[2::2]
+    even = np.cumsum((y0 + 4.0 * y1 + y2) * (dx / 3.0), axis=0)
+    out[2::2] = even
+    half = (5.0 * y0 + 8.0 * y1 - y2) * (dx / 12.0)
+    out[1] = half[0]
+    out[3::2] = even[:-1] + half[1:]
+    return out
+
+
+# the C-ordered buffer's shape for n nodes, and the axes that view it as (n, ...)
+LAYOUTS = {
+    "1-d": (lambda n: (n,), (0,)),
+    "c-ordered-n-2": (lambda n: (n, 2), (0, 1)),
+    "n-2-view-of-2-n": (lambda n: (2, n), (1, 0)),
+    "entry-major-n-2-2": (lambda n: (2, 2, n), (2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("n", [3, 5, 1025])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_same_bytes_as_the_reference_body_in_the_input_layout(layout, n):
+    shape, axes = LAYOUTS[layout]
+    y = np.random.default_rng(n).standard_normal(shape(n)).transpose(axes)
+    dx = 2.0 * np.pi / (n - 1)
+    out = cumulative_simpson(y, dx)
+    assert out.tobytes() == _reference(y, dx).tobytes()
+    assert out.transpose(np.argsort(axes)).flags.c_contiguous
+
+
 def test_convergence_order():
     # halving h should shrink the endpoint error ~16x
     errs = []
