@@ -5,18 +5,28 @@ functions are ``t,value`` or ``s,kappa``.  Floats round-trip at 17
 significant digits.  SVG output is a pure function of its input, so
 repeated runs are byte-identical.
 
-Rows are formatted a chunk at a time: one ``%`` format of a row template
-repeated for up to ``_CHUNK_ROWS`` rows, filled from the chunk's Python
-floats (``%.17g`` per CSV cell, ``%.3f`` per SVG coordinate).  ``%`` and
-``format`` hand a float to the same correctly rounded conversion
-(CPython's ``PyOS_double_to_string``) with the same type and precision, so
-the bytes equal those of ``format(x, ".17g")`` and ``f"{x:.3f}"`` cell by
-cell, signed zeros, subnormals, infinities and NaN included.  The chunk
-bound keeps each string built at once to a few megabytes whatever the row
-count.
+A CSV cell is the text of ``format(x, ".17g")``, made by numpy a chunk of
+rows at a time.  For 1e-5 <= |x| < 1e16 with decimal exponent e,
+|x| * 10**(16 - e) lies in [1e16, 1e17) and 10**(16 - e) is an exact
+double, so Dekker's product gives it exactly as ``hi + lo``.  ``hi`` is an
+even integer (above 2**53), so ``hi + rint(lo)`` is the 17-digit
+significand rounded half to even, as CPython's correctly rounded
+conversion rounds it.  ``log10`` may put e one off near a power of ten,
+which way depending on the CPU kernel, so a significand outside
+[1e16, 1e17) is computed again with e moved by one.  No double in range
+lies within half a unit of the 17th digit below a power of ten, so an e
+one too large always shows, and a significand of 1e17 is 1e16 at the next
+exponent.  The digits are laid out as ``%g`` lays them out: fixed notation
+for -4 <= e < 17, ``d.ddde-05`` below, trailing fraction zeros and a bare
+point dropped.  Zeros, |x| < 1e-5 and |x| >= 1e16 are formatted by ``%``
+itself, cell by cell.  SVG coordinates are ``%.3f``, one ``%`` format of a
+row template per chunk of rows, which gives the bytes of ``f"{x:.3f}"``
+cell by cell.  The chunk bound keeps a write's memory to a few megabytes
+whatever the row count.
 """
 
 import csv
+import functools
 import html
 import json
 import math
@@ -110,7 +120,7 @@ def read_curve_csv(path) -> SampledCurve:
     return SampledCurve(data[:, 0], data[:, 1:3])
 
 
-_CHUNK_ROWS = 65536
+_CHUNK_ROWS = 8192
 
 
 def _formatted_chunks(row_template: str, table):
@@ -120,13 +130,93 @@ def _formatted_chunks(row_template: str, table):
         yield (row_template * len(block)) % tuple(block.ravel().tolist())
 
 
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
+
+
+def _veltkamp(v):
+    """``v`` split exactly into ``hi + lo``, each of at most 26 significant bits."""
+    c = 134217729.0 * v  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _significand(a, e):
+    """``a * 10**(16 - e)`` rounded half to even to an int64, from Dekker's exact product ``hi + lo``."""
+    k = 16 - e
+    hi = a * _POW10[k]
+    a_hi, a_lo = _veltkamp(a)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+# A cell is a row of 32 bytes: the sign, "0." and zeros for 1e-4 <= |x| < 1 (bytes 1-5), a free byte, the 17 digits
+# (bytes 7-23), "e-05" (24-27) and the separator (28); NUL elsewhere.  The digits before the point move one byte left
+# and the point takes the byte after them.  Tables below are indexed by e + 5 for e in [-5, 15].
+_INT_DIGITS = np.array([1, 0, 0, 0, 0, *range(1, 17)])
+_PREFIX = np.frombuffer(b"".join(b"\0" + (b"0." + b"0" * (-e - 1) if -5 < e < 0 else b"").ljust(7, b"\0")
+                                 for e in range(-5, 16)), np.uint64)
+_SUFFIX = np.frombuffer(b"e-05".ljust(84, b"\0"), np.uint32)
+_SHIFTED = (255 * ((np.arange(32) >= 6) & (np.arange(32) < 6 + _INT_DIGITS[:, None]))).astype(np.uint8)
+
+
+@functools.cache
+def _digit_words():
+    """Four ASCII digits per ``uint32``: ``%04d`` of 0-9999, the same with trailing zeros as NUL, then NUL NUL NUL d."""
+    four = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    stripped = np.where(np.cumprod(four[:, ::-1] == 48, axis=1)[:, ::-1], 0, four)
+    single = np.pad(np.arange(48, 58, dtype=np.uint8)[:, None], ((0, 0), (3, 0)))
+    return np.concatenate([four, stripped, single]).view(np.uint32).ravel()
+
+
+def _csv_text(block) -> bytes:
+    """The 2-D float ``block`` as ``%.17g`` cells, comma-separated rows ending in newlines."""
+    x = block.ravel()
+    a = np.abs(x)
+    exact = (a >= 1e-5) & (a < 1e16)
+    a[~exact] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    d = _significand(a, e)
+    off = (d < 10 ** 16) | (d >= 10 ** 17)
+    e[off] += np.where(d[off] < 10 ** 16, -1, 1)
+    d[off] = _significand(a[off], e[off])
+    key = e + 5
+    groups = np.empty((5, len(x)), np.intp)  # the first digit, then four groups of four digits
+    zeros_after = True  # a group followed by zero groups only is written without its trailing zeros
+    for i in (4, 3, 2, 1):
+        q = d // 10 ** 4
+        groups[i] = d - q * 10 ** 4 + 10000 * zeros_after
+        zeros_after, d = groups[i] == 10000, q
+    groups[0] = d + 20000
+    cells = np.zeros((len(x), 8), np.uint32)
+    cells[:, 1:6] = np.take(_digit_words(), groups).T
+    cells[:, 6] = np.take(_SUFFIX, key)
+    cells.view(np.uint64)[:, 0] |= np.take(_PREFIX, key)
+    row = cells.view(np.uint8)
+    row[:, 0] = 45 * (x < 0)
+    flat = row.reshape(-1)
+    # the integer digits move one byte left; "| 48" writes a dropped integer zero as "0" again
+    flat ^= (flat ^ (np.roll(flat, -1) | 48)) & np.take(_SHIFTED, key, axis=0).reshape(-1)
+    n_int = np.take(_INT_DIGITS, key)
+    point = np.arange(6, flat.size, 32) + n_int
+    flat[point] = np.where((n_int > 0) & (flat[point + 1] != 0), 46, 0)
+    row.reshape(*block.shape, 32)[:, :, 28] = np.frombuffer(b"," * (block.shape[1] - 1) + b"\n", np.uint8)
+    other = np.flatnonzero(~exact)
+    row[other, :28] = np.array([b"%.17g" % v for v in x[other].tolist()], "S28").view(np.uint8).reshape(-1, 28)
+    return row.tobytes().translate(None, b"\0")
+
+
 def _write_rows(path, header: str, *columns) -> None:
     """Write the rows, or refuse a non-finite cell, which the readers would refuse, before opening ``path``."""
     table = np.column_stack(columns).astype(float)
     _refuse_non_finite(path, table, header.split(","), range(2, len(table) + 2))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(_formatted_chunks(",".join(["%.17g"] * len(columns)) + "\n", table))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(table), _CHUNK_ROWS):
+            fh.write(_csv_text(table[start:start + _CHUNK_ROWS]))
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:

@@ -32,7 +32,10 @@ def _inv2(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquiAffineMap:
-    """Area- and orientation-preserving affine map: unimodular part (det 1 within 1e-9) plus translation."""
+    """Area- and orientation-preserving affine map: unimodular part plus translation.
+
+    det 1 within max(1e-9, 8u(|ad| + |bc|)), u = 2**-53, so that large entries are not refused for round-off.
+    """
 
     linear: np.ndarray
     translation: np.ndarray
@@ -42,7 +45,8 @@ class EquiAffineMap:
         v = np.asarray(self.translation, dtype=float).reshape(2)
         if not (np.isfinite(m).all() and np.isfinite(v).all()):
             raise ValueError("map entries must be finite")
-        if abs(np.linalg.det(m) - 1.0) > 1e-9:
+        scale = abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])
+        if abs(np.linalg.det(m) - 1.0) > max(1e-9, 2.0 ** -50 * scale):  # 2**-50 = 8u
             raise ValueError("linear part must have determinant 1")
         object.__setattr__(self, "linear", m)
         object.__setattr__(self, "translation", v)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from curverecon import affine
+from curverecon.curvatures import parse_spec
 from curverecon.geometry import (
     EquiAffineMap,
     RigidMotion,
@@ -109,6 +111,35 @@ class TestActions:
             EquiAffineMap(np.array([[2.0, 0.0], [0.0, 1.0]]), (0.0, 0.0))
         with pytest.raises(ValueError):
             RigidMotion(np.array([[1.0, 0.1], [0.0, 1.0]]), (0.0, 0.0))
+
+
+def shear_product(t):
+    """[[1, t], [0, 1]] @ [[1, 0], [t, 1]] = [[1 + t^2, t], [t, 1]]: unimodular, and a d - b c is exactly 1."""
+    return np.array([[1.0, t], [0.0, 1.0]]) @ np.array([[1.0, 0.0], [t, 1.0]])
+
+
+@pytest.mark.parametrize("t", [1e3, 12345.678, 1e5])
+class TestUnimodularWithLargeEntries:
+    """np.linalg.det of the shear product misses 1 by 2.3e-8 at t = 12345.678, far above a fixed 1e-9."""
+
+    def test_accepted(self, t):
+        m = shear_product(t)
+        assert_allclose(EquiAffineMap(m, (0.5, -1.0)).linear, m, rtol=0, atol=0)
+
+    def test_inverse(self, t):
+        g = EquiAffineMap(shear_product(t), (0.5, -1.0))
+        inverse = g.inverse()
+        assert_allclose(inverse.linear, [[1.0, -t], [-t, 1.0 + t * t]], rtol=0, atol=0)
+        assert_allclose(inverse.inverse().linear, g.linear, rtol=0, atol=0)
+        assert_allclose(inverse.apply(g.translation), [0.0, 0.0], atol=0)
+
+    def test_picard_pose(self, t):
+        g = EquiAffineMap(shear_product(t), (0.5, -1.0))
+        curve, result = affine.picard(parse_spec("const:1"), 1.0, pose=g)
+        canonical, _ = affine.picard(parse_spec("const:1"), 1.0)
+        assert_allclose(result.frames[0], g.inverse().linear, rtol=0, atol=0)
+        assert_allclose(curve.points[0], g.translation, rtol=0, atol=0)
+        assert np.abs(curve.points - g.apply(canonical.points)).max() <= 1e-14 * t * t
 
 
 class TestNorms:

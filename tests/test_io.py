@@ -1,10 +1,13 @@
 import json
 import math
 import re
+import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from curverecon import cli, euclidean
@@ -181,7 +184,7 @@ EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157
 
 
 class TestChunkedWriters:
-    """The writers format a chunk of rows with one ``%``; the bytes equal ``format`` cell by cell across a chunk
+    """The writers format a chunk of rows at a time; the bytes equal ``format`` cell by cell across a chunk
     boundary."""
 
     n = _CHUNK_ROWS + 1
@@ -233,6 +236,114 @@ class TestChunkedWriters:
         xs, ys = 0.0 + (pts[:, 0] - 0.0) * 1.0, 0.0 + (0.0 - pts[:, 1]) * 1.0
         assert coords == " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys))
         assert "-0.000," in coords and ",-0.000" in coords
+
+
+def percent_fill(header, *columns):
+    """The CSV bytes of the former writers: one ``%.17g`` row template per row, filled by one ``%``."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (header + "\n" + row * len(table) % tuple(table.ravel().tolist())).encode()
+
+
+def neighbours(x, steps):
+    """``x`` and the ``steps`` doubles on each side of it, as ``nextafter`` walks."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def structured_corpus(rng):
+    """Cells where a 17-digit conversion can go wrong, both signs: powers of ten and the doubles next to them
+    (where ``log10`` and the rounding may carry to the next exponent), exact ties m / 2**k, whose decimal
+    expansion ends in a 5 at the 18th digit, the bounds of the exact range, zeros, subnormals and the extremes."""
+    cells = []
+    for e in range(-8, 19):
+        cells += neighbours(float(f"1e{e}"), 4) + neighbours(float(f"5e{e}"), 2) + neighbours(float(f"9.5e{e}"), 2)
+    for k in range(2, 26):  # m * 5**k has 18 digits, so m / 2**k is a tie at the 17th
+        low, high = -(-10 ** 17 // 5 ** k), min(10 ** 18 // 5 ** k, 2 ** 53)
+        m = rng.integers(low // 2, high // 2, 750) * 2 + 1
+        cells += np.ldexp(m[m < high].astype(float), -k).tolist()
+    cells += [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+              9999999999999998.0, 1e16 - 2, 0.1, 0.5, 2.5, 1.0 / 3.0, 2.0 ** 53, 2.0 ** 53 + 2, 1e15 + 0.25]
+    cells = np.array(cells)
+    return np.concatenate([cells, -cells])
+
+
+class TestSameBytesAsPercentFill:
+    """Both CSV writers give the bytes of the former ``%`` fill, cell for cell, in and out of the exact range."""
+
+    @staticmethod
+    def check_table(path, values):
+        grid, vals = values[0::2], values[1::2]
+        n = min(len(grid), len(vals))
+        write_table_csv(grid[:n], vals[:n], path)
+        assert path.read_bytes() == percent_fill("t,value", grid[:n], vals[:n])
+
+    @staticmethod
+    def check_curve(path, values):
+        params = np.unique(values)
+        n = min(len(params), len(values) // 2)
+        points = values[:2 * n].reshape(-1, 2)
+        write_curve_csv(SampledCurve(params[:n], points), path)
+        assert path.read_bytes() == percent_fill("s,x,y", params[:n], points[:, 0], points[:, 1])
+
+    def test_structured_corpus(self, tmp_path):
+        cells = structured_corpus(np.random.default_rng(31))
+        assert len(cells) > 36_000
+        self.check_table(tmp_path / "t.csv", cells)
+        self.check_curve(tmp_path / "c.csv", np.random.default_rng(32).permutation(cells))
+
+    def test_random_bit_patterns_and_magnitudes(self, tmp_path):
+        rng = np.random.default_rng(33)
+        bits = random_doubles(rng, 200_000)
+        magnitudes = 10.0 ** rng.uniform(-7, 18, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        cells = np.concatenate([bits[np.isfinite(bits)], magnitudes])
+        self.check_table(tmp_path / "t.csv", cells)
+        self.check_curve(tmp_path / "c.csv", rng.permutation(cells))
+
+    def test_long_curve_across_chunks(self, tmp_path):
+        # 200,001 rows span 25 chunks; the rows around each chunk boundary hold edge cells
+        n = 200_001
+        s = np.linspace(0.0, 4000.0, n)
+        points = np.column_stack([np.cos(s) * 3.7e3 + s, np.sin(s) * 1.3e-3])
+        for start in range(_CHUNK_ROWS, n, _CHUNK_ROWS):
+            points[start - 1:start + 1] = [[-0.0, 5e-324], [1e16, 9.5e-5]]
+        write_curve_csv(SampledCurve(s, points), tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == percent_fill("s,x,y", s, points[:, 0], points[:, 1])
+
+    @pytest.mark.parametrize("error", [-1.0, 1.0], ids=["log10-low", "log10-high"])
+    def test_exponent_one_off_is_corrected(self, tmp_path, monkeypatch, error):
+        # log10 rounds differently on other CPU kernels; an exponent one off on every cell exercises both
+        # corrections, and "low" puts the significand of each power of ten at 1e17
+        def log10(v):
+            return np.array([float(f"{x:.16e}".partition("e")[2]) + error + 0.5 for x in v.tolist()])
+
+        monkeypatch.setattr(np, "log10", log10)
+        self.check_table(tmp_path / "t.csv", structured_corpus(np.random.default_rng(34)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+    def test_hypothesis_floats(self, tmp_path_factory, cells):
+        self.check_table(tmp_path_factory.getbasetemp() / "hypothesis.csv", np.array(cells))
+
+
+def test_curve_csv_peak_memory_is_at_most_64_bytes_per_row(tmp_path):
+    # the float table is 24 bytes a row; a full-size text or per-cell objects push the peak past 80
+    n = 200_001
+    s = np.linspace(0.0, 40.0, n)
+    curve = SampledCurve(s, np.column_stack([np.cos(s), np.sin(s)]) * 3.7)
+    write_curve_csv(curve, tmp_path / "warm.csv")  # the digit table is built once per process
+    tracemalloc.start()
+    try:
+        write_curve_csv(curve, tmp_path / "c.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n
 
 
 class TestSvg:
